@@ -13,6 +13,11 @@ temp-file fallback) exactly once, and every task closure thereafter carries
 only a :class:`~repro.engine.transport.TransportRef`.  Workers attach the
 segment lazily on first ``.value`` access and memoize the decoded value for
 the life of the process -- the Torrent-broadcast idea reduced to one host.
+
+:class:`SourceBlock` rides the same path for the partitions of driver-resident
+source RDDs (``parallelize``, HDFS blocks): each slice is published once,
+uncompressed, and task binaries carry only its ref, so their size does not
+grow with the dataset.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ _BROADCAST_TRANSPORT_MIN = 16 * 1024
 _WORKER_VALUES: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
 _WORKER_VALUES_MAX = 64
 _WORKER_LOCK = threading.Lock()
+#: driver side: jobs on two threads may pickle the same broadcast at once
+_PUBLISH_LOCK = threading.Lock()
 
 
 class BroadcastDestroyedError(RuntimeError):
@@ -86,15 +93,14 @@ class Broadcast(Generic[T]):
                     labelnames=("executor",),
                 ).labels(executor=current_task_executor()).inc()
                 return _WORKER_VALUES[memo_key]
-        from repro.engine.serializer import decompress_blob
         from repro.engine.transport import worker_transport
 
         transport = worker_transport()
         if transport is None:
             raise RuntimeError(
-                f"broadcast {self.id} shipped by ref but no transport attached"
+                f"{self!r} shipped by ref but no transport attached"
             )
-        value = pickle.loads(decompress_blob(transport.get(self._ref)))
+        value = self._decode(transport.get(self._ref))
         with _WORKER_LOCK:
             _WORKER_VALUES[memo_key] = value
             _WORKER_VALUES.move_to_end(memo_key)
@@ -103,25 +109,43 @@ class Broadcast(Generic[T]):
         return value
 
     def _publish(self) -> bytes | None:
-        """Compress the payload and, when large, publish it out-of-band.
+        """Encode the payload and, when large, publish it out-of-band.
 
-        Returns the compressed blob when the broadcast stays inline, or
+        Returns the encoded blob when the broadcast stays inline, or
         ``None`` once a transport ref exists.  Idempotent: the content-hash
         dedup in :meth:`Transport.put` plus driver-side memoization mean
         repeated pickles of the same broadcast never re-publish.
         """
-        if self._ref is not None:
-            return None
-        if self._blob is None:
-            from repro.engine.serializer import compress_blob
+        with _PUBLISH_LOCK:
+            if self._ref is not None:
+                return None
+            if self._blob is None:
+                raw = self._dumps(self._value)
+                self._size_bytes = len(raw)
+                self._blob = self._encode(raw)
+            if self._transport is not None and len(self._blob) >= self._transport_min:
+                self._ref = self._transport.put(self._blob, dedup=True)
+                self._blob = None  # the transport holds the bytes now
+                return None
+            return self._blob
 
-            raw = pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
-            self._size_bytes = len(raw)
-            self._blob = compress_blob(raw)
-        if self._transport is not None and len(self._blob) >= self._transport_min:
-            self._ref = self._transport.put(self._blob, dedup=True)
-            return None
-        return self._blob
+    # -- encoding: zlib'd pickle; SourceBlock overrides all three ------------
+
+    @staticmethod
+    def _dumps(value: Any) -> bytes:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @staticmethod
+    def _encode(raw: bytes) -> bytes:
+        from repro.engine.serializer import compress_blob
+
+        return compress_blob(raw)
+
+    @staticmethod
+    def _decode(blob: bytes) -> Any:
+        from repro.engine.serializer import decompress_blob
+
+        return pickle.loads(decompress_blob(blob))
 
     def __getstate__(self) -> dict:
         if self._destroyed:
@@ -145,9 +169,7 @@ class Broadcast(Generic[T]):
         self._ref = state["ref"]
         self._blob = None
         if state["blob"] is not None:
-            from repro.engine.serializer import decompress_blob
-
-            self._value = pickle.loads(decompress_blob(state["blob"]))
+            self._value = self._decode(state["blob"])
         else:
             self._value = None  # lazy-loaded from the transport on .value
 
@@ -157,9 +179,7 @@ class Broadcast(Generic[T]):
         if self._size_bytes is None:
             if self._destroyed:
                 raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
-            self._size_bytes = len(
-                pickle.dumps(self._value, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+            self._size_bytes = len(self._dumps(self._value))
         return self._size_bytes
 
     def unpersist(self) -> None:
@@ -179,3 +199,31 @@ class Broadcast(Generic[T]):
     def __repr__(self) -> str:
         state = "destroyed" if self._destroyed else "live"
         return f"Broadcast(id={self.id}, {state})"
+
+
+class SourceBlock(Broadcast):
+    """One partition of a driver-resident source RDD, shipped once.
+
+    A broadcast every task of the stage carries, but only the task for its
+    partition reads.  The value pickles with the closure pickler (source
+    data may hold lambdas, as it did inside the task binary) and is
+    published *uncompressed*: the blob is copied once into the transport,
+    where zlib would cost more than the copy it saves.
+    """
+
+    @staticmethod
+    def _dumps(value: Any) -> bytes:
+        from repro.engine.closure import dumps
+
+        return dumps(value)
+
+    @staticmethod
+    def _encode(raw: bytes) -> bytes:
+        return raw
+
+    @staticmethod
+    def _decode(blob: bytes) -> Any:
+        return pickle.loads(blob)
+
+    def __repr__(self) -> str:
+        return f"SourceBlock(split={self.id})"

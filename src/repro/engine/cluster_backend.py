@@ -39,6 +39,7 @@ Two deployment shapes share the protocol:
 
 from __future__ import annotations
 
+import atexit
 import concurrent.futures
 import itertools
 import os
@@ -747,6 +748,12 @@ def stop_all_clusters() -> None:
         _CLUSTERS.clear()
     for manager in managers:
         manager.stop()
+
+
+# module-lifetime fleets own shared-memory segments that outlive the
+# process unless unlinked: stop them on the way out of any program that
+# never called stop_all_clusters() itself (``sparkscore analyze``)
+atexit.register(stop_all_clusters)
 
 
 class ClusterBackend:

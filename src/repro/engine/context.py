@@ -11,7 +11,7 @@ from repro.config import EngineConfig
 from repro.engine.accumulator import Accumulator
 from repro.engine.backends import make_backend
 from repro.engine.blockmanager import BlockManagerMaster
-from repro.engine.broadcast import Broadcast
+from repro.engine.broadcast import _BROADCAST_TRANSPORT_MIN, Broadcast
 from repro.engine.executor import build_executors
 from repro.engine.faults import FaultInjector
 from repro.engine.listener import ExecutorLost, ListenerBus
@@ -83,14 +83,28 @@ class Context:
         #: so shared-state backends skip the segment bookkeeping.  The
         #: cluster backend *owns* its transport (it must outlive this
         #: context so warm workers keep their handles); the process backend
-        #: gets a context-owned one
-        self.transport = getattr(self.backend, "transport", None)
+        #: gets a context-owned one.  Either way this context publishes
+        #: through a lease, and ``stop()`` releases everything it published
+        transport = getattr(self.backend, "transport", None)
         self._owns_transport = False
-        if self.transport is None and self.config.backend == "processes":
+        if transport is None and self.config.backend == "processes":
             from repro.engine.transport import create_transport
 
-            self.transport = create_transport(self.config.transport_scheme)
+            transport = create_transport(self.config.transport_scheme)
             self._owns_transport = True
+        self.transport = None
+        if transport is not None:
+            from repro.engine.transport import TransportLease
+
+            self.transport = TransportLease(transport)
+        #: payload size from which broadcasts and source blocks ship by
+        #: transport ref.  A persistent fleet takes everything by ref, for
+        #: the reason the scheduler publishes every binary there: warm
+        #: workers memoize refs by content, and binaries stay lineage-only
+        self.transport_min = (
+            0 if getattr(self.backend, "persistent_executors", False)
+            else _BROADCAST_TRANSPORT_MIN
+        )
         self.executors = build_executors(
             self.config.num_executors,
             self.config.executor_cores,
@@ -278,13 +292,14 @@ class Context:
 
     def parallelize(self, data: Iterable, num_partitions: int | None = None) -> "RDD":
         """Distribute a local collection into an RDD."""
-        from repro.engine.rdd import ParallelCollectionRDD
+        from repro.engine.rdd import ParallelCollectionRDD, _slice_collection
 
         self._check_alive()
         if num_partitions is not None and num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         n = num_partitions if num_partitions is not None else self.config.default_parallelism
-        return ParallelCollectionRDD(self, data, n)
+        items = data if isinstance(data, list) else list(data)
+        return ParallelCollectionRDD(self, _slice_collection(items, n))
 
     def range(self, start: int, end: int | None = None, step: int = 1, num_partitions: int | None = None) -> "RDD":
         if end is None:
@@ -322,7 +337,8 @@ class Context:
 
     def broadcast(self, value: Any) -> Broadcast:
         self._check_alive()
-        return Broadcast(next(self._broadcast_ids), value, transport=self.transport)
+        return Broadcast(next(self._broadcast_ids), value, transport=self.transport,
+                         transport_min=self.transport_min)
 
     def accumulator(self, initial: Any, op: Callable | None = None, zero: Any | None = None) -> Accumulator:
         self._check_alive()
@@ -438,8 +454,15 @@ class Context:
                 self.backend.detach(self)
             self.listener_bus.stop()
             self.backend.shutdown()
-            if self.transport is not None and self._owns_transport:
-                self.transport.close()
+            # a stopped context runs no more jobs: free the driver-side
+            # copies of cached partitions now, not whenever the cyclic
+            # collector reaches this context's object graph
+            for executor in self.executors:
+                executor.block_manager.clear()
+            if self.transport is not None:
+                self.transport.release()
+                if self._owns_transport:
+                    self.transport.close()
             self._stopped = True
 
     def _check_alive(self) -> None:

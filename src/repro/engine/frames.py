@@ -88,7 +88,8 @@ BLOB_GET = 20
 BLOB_DATA = 21
 #: key not present on the server
 BLOB_MISSING = 22
-#: pickled (sha256 hex, size): dedup offer sent *before* any payload moves
+#: pickled (sha256 hex, size, owner or None): dedup offer sent *before* any
+#: payload moves; a non-None owner holds the blob against eviction
 BLOB_OFFER = 23
 #: pickled :class:`~repro.engine.transport.TransportRef` -- server already
 #: holds the content; the offerer never pushes the payload
@@ -99,8 +100,10 @@ BLOB_WANT = 25
 BLOB_PUSH = 26
 #: generic ack (push stored / delete done)
 BLOB_OK = 27
-#: utf-8 key
+#: utf-8 key, optionally ``"\n"`` + owner (drop only that owner's hold)
 BLOB_DELETE = 28
+#: utf-8 owner: drop every hold of that owner (a driver Context stopped)
+BLOB_RELEASE = 29
 
 _TASK_PREFIX = struct.Struct("!QH")
 _TOKEN = struct.Struct("!Q")

@@ -214,8 +214,7 @@ def checkpoint(self: "RDD") -> "RDD":
 
     parts = self.context.run_job(self, list, description=f"checkpoint({self.name})")
 
-    out = ParallelCollectionRDD(self.context, [], 1, name=f"checkpoint:{self.name}")
-    out._slices = parts
+    out = ParallelCollectionRDD(self.context, parts, name=f"checkpoint:{self.name}")
     out.partitioner = self.partitioner
     return out
 

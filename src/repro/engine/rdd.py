@@ -21,6 +21,7 @@ import operator
 import os
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar
 
+from repro.engine.broadcast import SourceBlock
 from repro.engine.dependencies import (
     Dependency,
     ManyToOneDependency,
@@ -569,21 +570,41 @@ class _ReduceFn:
 
 
 class ParallelCollectionRDD(RDD):
-    """An in-memory collection sliced into partitions at the driver."""
+    """A driver-resident collection, already sliced into partitions.
 
-    def __init__(self, ctx: "Context", data: Iterable, num_partitions: int, name: str = "parallelize") -> None:
+    With a transport attached (process-isolated backends) each slice is a
+    :class:`~repro.engine.broadcast.SourceBlock`: published the first time
+    a task binary is pickled and fetched only by the task that reads it,
+    so binaries carry refs instead of the data.
+    """
+
+    def __init__(self, ctx: "Context", slices: list[list], name: str = "parallelize") -> None:
         super().__init__(ctx, [], name)
-        items = data if isinstance(data, list) else list(data)
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        self._slices = _slice_collection(items, num_partitions)
+        self._slices = source_blocks(ctx, slices)
 
     def num_partitions(self) -> int:
         return len(self._slices)
 
     def compute(self, split: int, tc: TaskContext) -> Iterator:
-        tc.metrics.records_read += len(self._slices[split])
-        return iter(self._slices[split])
+        items = read_source(self._slices[split])
+        tc.metrics.records_read += len(items)
+        return iter(items)
+
+
+def source_blocks(ctx: "Context", values: list) -> list:
+    """Per-partition source values, behind SourceBlocks when a transport
+    will carry them across address spaces."""
+    if ctx.transport is None:
+        return values
+    return [
+        SourceBlock(i, v, transport=ctx.transport, transport_min=ctx.transport_min)
+        for i, v in enumerate(values)
+    ]
+
+
+def read_source(value: Any) -> Any:
+    """A partition's source value, fetched (and memoized) if shipped by ref."""
+    return value.value if isinstance(value, SourceBlock) else value
 
 
 def _slice_collection(items: list, num_partitions: int) -> list[list]:

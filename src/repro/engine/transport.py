@@ -21,9 +21,15 @@ Key properties:
   is materialized once no matter how many tasks reference it.
 - **Bidirectional**: workers can ``put`` large result bodies and return a
   ref; the driver reads and deletes the segment after merging.
-- **Lifecycle**: the driver-side owner tracks every segment it created and
-  unlinks them all on ``close()`` (context stop); worker-created segments
-  are deleted by the driver as soon as the result is merged.
+- **Lifecycle**: the driver-side handle tracks every segment it created and
+  unlinks them all on ``close()``; worker-created segments are deleted by
+  the driver as soon as the result is merged.
+- **Owners**: a :class:`TransportLease` is one Context's view of a shared
+  transport.  Every put through it is *held* for that owner, and
+  ``release()`` drops all its holds at once (``Context.stop``).  A
+  content-dedup'd blob two Contexts published is held twice and lives
+  until both have let go.  Local segments with no holder left are
+  unlinked; the socket store keeps them as evictable cache instead.
 
 A :class:`Transport` is addressed by a picklable :meth:`spec`; worker
 processes rebuild a handle lazily from the spec riding in the task payload
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import secrets
 import socket
 import tempfile
@@ -47,9 +54,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
+from repro.engine import frames
+
 __all__ = [
     "TransportRef",
     "Transport",
+    "TransportLease",
     "SocketTransport",
     "advertised_host",
     "create_transport",
@@ -172,8 +182,10 @@ class Transport:
         self._create_lock = threading.Lock()
         #: content hash -> ref, for dedup'd puts
         self._by_hash: dict[str, TransportRef] = {}
-        #: every ref this handle created (unlinked on close)
-        self._created: list[TransportRef] = []
+        #: key -> ref of every payload this handle created (unlinked on close)
+        self._created: dict[str, TransportRef] = {}
+        #: key -> owners holding the payload (see :meth:`release`)
+        self._holders: dict[str, set[str]] = {}
         self.bytes_published = 0
         self.dedup_hits = 0
         #: bytes a dedup hit kept off the wire/segment store -- the fleet
@@ -195,13 +207,19 @@ class Transport:
 
     # -- put / get / delete ------------------------------------------------
 
-    def put(self, blob: bytes, dedup: bool = False) -> TransportRef:
-        """Store ``blob``; returns a ref.  ``dedup=True`` keys by content."""
+    def put(
+        self, blob: bytes, dedup: bool = False, owner: str | None = None
+    ) -> TransportRef:
+        """Store ``blob``; returns a ref.  ``dedup=True`` keys by content.
+
+        With ``owner`` the payload is held for that owner until it calls
+        :meth:`release` (or deletes the ref); a dedup hit adds a hold.
+        """
         content_hash = _sha256(blob) if dedup else None
         if content_hash is None:
             ref = self._write(blob, None)
             with self._lock:
-                self._created.append(ref)
+                self._record_locked(ref, owner)
                 self.bytes_published += len(blob)
             return ref
         # dedup'd creates run one at a time: a concurrent put of the same
@@ -214,13 +232,22 @@ class Transport:
                 if existing is not None:
                     self.dedup_hits += 1
                     self.dedup_bytes_saved += len(blob)
+                    self._hold_locked(existing.key, owner)
                     return existing
             ref = self._write(blob, content_hash)
             with self._lock:
-                self._created.append(ref)
+                self._record_locked(ref, owner)
                 self.bytes_published += len(blob)
                 self._by_hash[content_hash] = ref
             return ref
+
+    def _record_locked(self, ref: TransportRef, owner: str | None) -> None:
+        self._created[ref.key] = ref
+        self._hold_locked(ref.key, owner)
+
+    def _hold_locked(self, key: str, owner: str | None) -> None:
+        if owner is not None:
+            self._holders.setdefault(key, set()).add(owner)
 
     def _write(self, blob: bytes, content_hash: str | None) -> TransportRef:
         # dedup'd payloads get *content-addressed* names: a republication of
@@ -285,8 +312,46 @@ class Transport:
         with open(ref.key, "rb") as fh:
             return fh.read()
 
-    def delete(self, ref: TransportRef) -> None:
-        """Remove one payload (idempotent)."""
+    def delete(self, ref: TransportRef, owner: str | None = None) -> None:
+        """Remove one payload (idempotent).
+
+        With ``owner`` only that owner's hold goes; the payload survives
+        while another owner still holds it.
+        """
+        # under the create lock, so a concurrent dedup'd put can neither
+        # hand out this ref mid-unlink nor re-create the name under us
+        with self._create_lock:
+            with self._lock:
+                holders = self._holders.get(ref.key)
+                if owner is not None and holders is not None:
+                    holders.discard(owner)
+                    if holders:
+                        return
+                self._forget_locked(ref)
+            self._unlink(ref)
+
+    def release(self, owner: str) -> None:
+        """Drop every hold of ``owner``; unlink what nobody holds any more."""
+        with self._create_lock:
+            orphans = []
+            with self._lock:
+                for key, holders in list(self._holders.items()):
+                    if owner in holders:
+                        holders.discard(owner)
+                        if not holders:
+                            orphans.append(self._created[key])
+                            self._forget_locked(orphans[-1])
+            for ref in orphans:
+                self._unlink(ref)
+
+    def _forget_locked(self, ref: TransportRef) -> None:
+        self._holders.pop(ref.key, None)
+        self._created.pop(ref.key, None)
+        if ref.content_hash is not None:
+            self._by_hash.pop(ref.content_hash, None)
+
+    @staticmethod
+    def _unlink(ref: TransportRef) -> None:
         try:
             if ref.scheme == "shm":
                 # attach (untracked) + unlink; unlink() unregisters the one
@@ -298,19 +363,18 @@ class Transport:
                 os.unlink(ref.key)
         except (FileNotFoundError, OSError):
             pass
-        with self._lock:
-            if ref.content_hash is not None:
-                self._by_hash.pop(ref.content_hash, None)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Unlink every payload this handle created."""
         with self._lock:
-            created, self._created = self._created, []
+            created = list(self._created.values())
+            self._created.clear()
+            self._holders.clear()
             self._by_hash.clear()
         for ref in created:
-            self.delete(ref)
+            self._unlink(ref)
         if self.scheme == "file":
             try:
                 os.rmdir(self.root)
@@ -337,8 +401,9 @@ class SocketTransport:
     Two personalities behind one interface:
 
     - **serving** (driver / cluster head): :meth:`serve` binds a listener
-      and handles GET/OFFER/PUSH/DELETE from remote handles; local ``put``
-      and ``get`` touch the in-memory store directly (no loopback hop).
+      and handles GET/OFFER/PUSH/DELETE/RELEASE from remote handles; local
+      ``put`` and ``get`` touch the in-memory store directly (no loopback
+      hop).
     - **client** (worker, or an external driver): built by
       :func:`from_spec` from ``("tcp", "host:port")``; one persistent
       connection per process, a lock serializing request/response pairs.
@@ -359,9 +424,11 @@ class SocketTransport:
         #: drops it before the first deserialize unless the reply checks out
         self.secret = secret if secret is not None else secrets.token_bytes(32)
         #: byte budget for dedup'd (``sha256-``) blobs; oldest-touched are
-        #: evicted past it.  ``tok-`` blobs (one-shot result bodies) are
-        #: exempt: they are deleted explicitly as soon as the driver merges
-        #: them, while evicted content blobs just cost a re-offer/re-push.
+        #: evicted past it.  Held blobs (see ``put(owner=...)``) and ``tok-``
+        #: blobs (one-shot result bodies) are exempt: a live Context's task
+        #: binaries, broadcasts and source blocks stay until it releases
+        #: them, result bodies until the driver merges them.  Released
+        #: content blobs are a warm cache: evicting one costs a re-push.
         self.store_budget = (
             store_budget if store_budget is not None else _STORE_BUDGET
         )
@@ -369,8 +436,10 @@ class SocketTransport:
         #: key -> blob (server side only), LRU order: oldest-touched first
         self._store: "OrderedDict[str, bytes]" = OrderedDict()
         self._store_bytes = 0
-        #: content hash -> ref (server side dedup index; client side memo)
+        #: content hash -> ref (server side dedup index)
         self._by_hash: dict[str, TransportRef] = {}
+        #: key -> owners holding the blob (server side; exempt from eviction)
+        self._holders: dict[str, set[str]] = {}
         self.bytes_published = 0
         self.dedup_hits = 0
         #: bytes dedup offers kept off the wire (fleet "warm bytes saved")
@@ -433,10 +502,6 @@ class SocketTransport:
             handler.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        import pickle
-
-        from repro.engine import frames
-
         try:
             # close() may reap this conn before the handler thread gets here
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -459,8 +524,11 @@ class SocketTransport:
                     else:
                         frames.send_frame(conn, frames.BLOB_DATA, blob)
                 elif ftype == frames.BLOB_OFFER:
-                    content_hash, size = pickle.loads(payload)
+                    content_hash, size, owner = pickle.loads(payload)
                     with self._lock:
+                        # the hold lands before any push, so the blob is
+                        # never evictable between its store and its use
+                        self._hold_locked(f"sha256-{content_hash}", owner)
                         existing = self._by_hash.get(content_hash)
                         if existing is not None:
                             self.dedup_hits += 1
@@ -479,7 +547,11 @@ class SocketTransport:
                     self._store_blob(key, blob)
                     frames.send_frame(conn, frames.BLOB_OK, key.encode("utf-8"))
                 elif ftype == frames.BLOB_DELETE:
-                    self._delete_key(payload.decode("utf-8"))
+                    key, _, owner = payload.decode("utf-8").partition("\n")
+                    self._delete_key(key, owner or None)
+                    frames.send_frame(conn, frames.BLOB_OK, payload)
+                elif ftype == frames.BLOB_RELEASE:
+                    self.release(payload.decode("utf-8"))
                     frames.send_frame(conn, frames.BLOB_OK, payload)
                 else:
                     return  # unknown frame: drop the connection
@@ -507,18 +579,26 @@ class SocketTransport:
                 self._by_hash[content_hash] = ref
             self._evict_locked(keep=key)
 
+    def _hold_locked(self, key: str, owner: str | None) -> None:
+        if owner is not None:
+            self._holders.setdefault(key, set()).add(owner)
+
     def _evict_locked(self, keep: str) -> None:
         """Drop oldest-touched dedup'd blobs past the byte budget.
 
-        Only ``sha256-`` keys are candidates: their eviction is recoverable
-        (the next offer gets WANT and re-pushes), while ``tok-`` result
-        bodies must survive until the driver's explicit delete.  ``keep``
-        (the blob just stored) is never evicted, even when it alone
-        overflows the budget.
+        Only unheld ``sha256-`` keys are candidates: their eviction is
+        recoverable (the next offer gets WANT and re-pushes), while a held
+        blob may still be fetched by a task of its live owner, and ``tok-``
+        result bodies must survive until the driver's explicit delete.
+        ``keep`` (the blob just stored) is never evicted, even when it
+        alone overflows the budget.
         """
         if self._store_bytes <= self.store_budget:
             return
-        for key in [k for k in self._store if k != keep and k.startswith("sha256-")]:
+        for key in [
+            k for k in self._store
+            if k != keep and k.startswith("sha256-") and k not in self._holders
+        ]:
             if self._store_bytes <= self.store_budget:
                 return
             blob = self._store.pop(key)
@@ -526,8 +606,14 @@ class SocketTransport:
             self._by_hash.pop(key[len("sha256-"):], None)
             self.evictions += 1
 
-    def _delete_key(self, key: str) -> None:
+    def _delete_key(self, key: str, owner: str | None = None) -> None:
         with self._lock:
+            holders = self._holders.get(key)
+            if owner is not None and holders is not None:
+                holders.discard(owner)
+                if holders:
+                    return  # another owner still holds it
+            self._holders.pop(key, None)
             blob = self._store.pop(key, None)
             if blob is not None:
                 self._store_bytes -= len(blob)
@@ -536,58 +622,54 @@ class SocketTransport:
 
     # -- put / get / delete ------------------------------------------------
 
-    def put(self, blob: bytes, dedup: bool = False) -> TransportRef:
+    def put(
+        self, blob: bytes, dedup: bool = False, owner: str | None = None
+    ) -> TransportRef:
+        """Store ``blob``; with ``owner`` a dedup'd blob is held (never
+        evicted) until that owner releases it.  A client handle forwards
+        the hold with its dedup offer.  ``tok-`` blobs need no hold: they
+        are never evicted."""
         content_hash = _sha256(blob) if dedup else None
         if self._serving:
             if content_hash is not None:
+                key = f"sha256-{content_hash}"
                 with self._lock:
+                    self._hold_locked(key, owner)
                     existing = self._by_hash.get(content_hash)
-                if existing is not None:
-                    with self._lock:
+                    if existing is not None:
                         self.dedup_hits += 1
                         self.dedup_bytes_saved += len(blob)
-                    return existing
-                key = f"sha256-{content_hash}"
+                        return existing
             else:
                 key = f"tok-{secrets.token_hex(8)}"
             self._store_blob(key, blob, content_hash)
             return TransportRef("tcp", key, len(blob), content_hash)
-        return self._remote_put(blob, content_hash)
+        return self._remote_put(blob, content_hash, owner)
 
-    def _remote_put(self, blob: bytes, content_hash: str | None) -> TransportRef:
-        import pickle
-
-        from repro.engine import frames
-
+    def _remote_put(
+        self, blob: bytes, content_hash: str | None, owner: str | None
+    ) -> TransportRef:
         if content_hash is not None:
-            with self._lock:
-                memo = self._by_hash.get(content_hash)
-            if memo is not None:
-                with self._lock:
-                    self.dedup_hits += 1
-                    self.dedup_bytes_saved += len(blob)
-                return memo
             key = f"sha256-{content_hash}"
         else:
             key = f"tok-{secrets.token_hex(8)}"
         with self._lock:
             conn = self._connect_locked()
             if content_hash is not None:
-                # dedup offer: hash + size first; the payload only moves if
-                # the server does not already hold this content
+                # dedup offer: hash + size (+ the hold) first; the payload
+                # only moves if the server does not already hold this content
                 frames.send_frame(conn, frames.BLOB_OFFER, pickle.dumps(
-                    (content_hash, len(blob)), protocol=pickle.HIGHEST_PROTOCOL
+                    (content_hash, len(blob), owner),
+                    protocol=pickle.HIGHEST_PROTOCOL,
                 ))
                 reply = frames.recv_frame(conn)
                 if reply is None:
                     raise ConnectionError("transport server closed during offer")
                 ftype, payload = reply
                 if ftype == frames.BLOB_HAVE:
-                    ref = pickle.loads(payload)
                     self.dedup_hits += 1
                     self.dedup_bytes_saved += len(blob)
-                    self._by_hash[content_hash] = ref
-                    return ref
+                    return pickle.loads(payload)
             key_bytes = key.encode("utf-8")
             frames.send_frame(
                 conn, frames.BLOB_PUSH,
@@ -597,10 +679,7 @@ class SocketTransport:
             if reply is None or reply[0] != frames.BLOB_OK:
                 raise ConnectionError("transport server rejected push")
             self.bytes_published += len(blob)
-            ref = TransportRef("tcp", key, len(blob), content_hash)
-            if content_hash is not None:
-                self._by_hash[content_hash] = ref
-            return ref
+            return TransportRef("tcp", key, len(blob), content_hash)
 
     def get(self, ref: TransportRef) -> bytes:
         if self._serving:
@@ -611,8 +690,6 @@ class SocketTransport:
             if blob is None:
                 raise KeyError(f"transport blob {ref.key!r} not found")
             return blob
-        from repro.engine import frames
-
         with self._lock:
             conn = self._connect_locked()
             frames.send_frame(conn, frames.BLOB_GET, ref.key.encode("utf-8"))
@@ -624,19 +701,34 @@ class SocketTransport:
             raise KeyError(f"transport blob {ref.key!r} not found on server")
         return payload
 
-    def delete(self, ref: TransportRef) -> None:
+    def delete(self, ref: TransportRef, owner: str | None = None) -> None:
+        """Remove one blob; with ``owner`` only that owner's hold goes."""
         if self._serving:
-            self._delete_key(ref.key)
+            self._delete_key(ref.key, owner)
             return
-        from repro.engine import frames
+        self._request(frames.BLOB_DELETE, ref.key + ("\n" + owner if owner else ""))
 
+    def release(self, owner: str) -> None:
+        """Drop every hold of ``owner``.  Released blobs stay in the store
+        as evictable cache, so a later driver's identical offer still gets
+        a dedup hit."""
+        if not self._serving:
+            self._request(frames.BLOB_RELEASE, owner)
+            return
+        with self._lock:
+            for key, holders in list(self._holders.items()):
+                holders.discard(owner)
+                if not holders:
+                    del self._holders[key]
+            self._evict_locked(keep="")
+
+    def _request(self, ftype: int, payload: str) -> None:
+        """Client side: one best-effort request/ack round trip."""
         try:
             with self._lock:
                 conn = self._connect_locked()
-                frames.send_frame(conn, frames.BLOB_DELETE, ref.key.encode("utf-8"))
+                frames.send_frame(conn, ftype, payload.encode("utf-8"))
                 frames.recv_frame(conn)
-                if ref.content_hash is not None:
-                    self._by_hash.pop(ref.content_hash, None)
         except (ConnectionError, OSError):
             pass
 
@@ -644,8 +736,6 @@ class SocketTransport:
 
     def _connect_locked(self) -> socket.socket:
         if self._conn is None:
-            from repro.engine import frames
-
             host, _, port = self.addr.rpartition(":")
             conn = socket.create_connection((host, int(port)), timeout=30.0)
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -686,6 +776,7 @@ class SocketTransport:
             self._store.clear()
             self._store_bytes = 0
             self._by_hash.clear()
+            self._holders.clear()
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -699,6 +790,32 @@ class SocketTransport:
             if thread is not threading.current_thread():
                 thread.join(timeout=2.0)
         self._threads.clear()
+
+
+class TransportLease:
+    """One owner's view of a shared transport (a Context's, see
+    :class:`~repro.engine.context.Context`).
+
+    Every put through the lease is held for its owner, and :meth:`release`
+    drops all of those holds at once.  Reads, specs and counters forward
+    to the shared transport.
+    """
+
+    def __init__(self, transport: "Transport | SocketTransport") -> None:
+        self.transport = transport
+        self.owner = secrets.token_hex(8)
+
+    def put(self, blob: bytes, dedup: bool = False) -> TransportRef:
+        return self.transport.put(blob, dedup, owner=self.owner)
+
+    def delete(self, ref: TransportRef) -> None:
+        self.transport.delete(ref, owner=self.owner)
+
+    def release(self) -> None:
+        self.transport.release(self.owner)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.transport, name)
 
 
 def create_transport(

@@ -50,29 +50,46 @@ def pytest_collection_modifyitems(config, items):
 _PERSISTENT_THREAD_PREFIXES = ("repro-cluster",)
 
 
+def shm_segments() -> set[str]:
+    """Engine-made shared-memory segments (transport blobs, result bodies)."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return set()
+    return {n for n in names if n.startswith(("repro-", "psm_"))}
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_engine_threads():
-    """Every engine thread must be joined by the end of each test.
+    """Every engine thread must be joined, and every shared-memory segment
+    the test created unlinked, by the end of each test.
 
     ``Context.stop()`` joins the heartbeat hub, UI server, and metrics
-    sampler with bounded timeouts; a test that leaks a ``repro-*`` thread
-    either forgot to stop its context or found a shutdown bug.  A short
-    grace poll absorbs threads mid-exit (pool workers finishing their
-    last task).  Persistent-cluster threads are exempt: they outlive
+    sampler with bounded timeouts, and releases every transport blob the
+    context published; a test that leaks a ``repro-*`` thread or a
+    segment either forgot to stop its context or found a shutdown bug.  A
+    short grace poll absorbs threads mid-exit (pool workers finishing
+    their last task).  Persistent-cluster threads are exempt: they outlive
     contexts on purpose.
     """
+    segments_before = shm_segments()
     yield
     deadline = time.monotonic() + 2.0
-    while time.monotonic() < deadline:
+    while True:
         leaked = [
             t.name for t in threading.enumerate()
             if t.is_alive() and t.name.startswith("repro-")
             and not t.name.startswith(_PERSISTENT_THREAD_PREFIXES)
         ]
-        if not leaked:
+        leaked_segments = shm_segments() - segments_before
+        if not leaked and not leaked_segments:
             return
+        if time.monotonic() >= deadline:
+            break
         time.sleep(0.05)
-    pytest.fail(f"leaked engine threads after test: {sorted(leaked)}")
+    if leaked:
+        pytest.fail(f"leaked engine threads after test: {sorted(leaked)}")
+    pytest.fail(f"leaked shared-memory segments after test: {sorted(leaked_segments)}")
 
 
 @pytest.fixture(autouse=True, scope="session")

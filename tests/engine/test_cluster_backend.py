@@ -113,19 +113,20 @@ class TestTwoJobWarmth:
         config = _cluster_config(transport_scheme=scheme)
         expected = sum(x * x for x in range(64))
 
+        # ctx1 stays open: a stopped context releases what it published,
+        # while a blob a live context still holds is shared by dedup
         with Context(config) as ctx1:
             assert workload(ctx1) == expected
             manager = ctx1.backend._manager
             cold_binary_bytes = ctx1.metrics.last_job.totals().task_binary_bytes
-        # context torn down; the fleet and its transport live on
-        published_after_cold = manager.transport.bytes_published
-        dedup_after_cold = manager.transport.dedup_hits
-        cache_hits_before = _counter_total("task_binary_cache_hits_total")
+            published_after_cold = manager.transport.bytes_published
+            dedup_after_cold = manager.transport.dedup_hits
+            cache_hits_before = _counter_total("task_binary_cache_hits_total")
 
-        with Context(config) as ctx2:
-            assert ctx2.backend._manager is manager  # same persistent fleet
-            assert workload(ctx2) == expected
-            warm_binary_bytes = ctx2.metrics.last_job.totals().task_binary_bytes
+            with Context(config) as ctx2:
+                assert ctx2.backend._manager is manager  # same persistent fleet
+                assert workload(ctx2) == expected
+                warm_binary_bytes = ctx2.metrics.last_job.totals().task_binary_bytes
 
         # zero task-binary republication: the driver's dedup'd put was
         # answered from the content-hash index, no payload moved
@@ -135,6 +136,20 @@ class TestTwoJobWarmth:
         assert 0 < warm_binary_bytes < cold_binary_bytes
         assert warm_binary_bytes <= 4 * 512  # ~ref cost per task
         # worker-side task-binary LRU hits flowed home through the registry
+        assert _counter_total("task_binary_cache_hits_total") > cache_hits_before
+
+    def test_fresh_context_after_stop_is_still_warm(self):
+        """A context that starts after the last one stopped republishes
+        the binary (it was released) but workers answer it from their
+        content-hash cache, and only refs are charged."""
+        config = _cluster_config()
+        with Context(config) as ctx1:
+            _warm_workload_shm(ctx1)
+        cache_hits_before = _counter_total("task_binary_cache_hits_total")
+        with Context(config) as ctx2:
+            _warm_workload_shm(ctx2)
+            warm_binary_bytes = ctx2.metrics.last_job.totals().task_binary_bytes
+        assert 0 < warm_binary_bytes <= 4 * 512  # ~ref cost per task
         assert _counter_total("task_binary_cache_hits_total") > cache_hits_before
 
     def test_broadcast_memo_hits_on_second_job(self):

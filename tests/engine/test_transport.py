@@ -8,6 +8,7 @@ import pytest
 from repro.engine.transport import (
     SocketTransport,
     Transport,
+    TransportLease,
     TransportRef,
     create_transport,
     from_spec,
@@ -289,6 +290,49 @@ class TestStoreEviction:
         result = client.put(b"r" * 5000)  # tok- key, exempt from eviction
         client.put(b"c" * 5000, dedup=True)
         assert server.get(result) == b"r" * 5000
+
+
+class TestOwnerHolds:
+    """Leases hold what they publish; release drops only their holds."""
+
+    def test_release_unlinks_what_nobody_holds(self, transport):
+        lease = TransportLease(transport)
+        ref = lease.put(b"mine" * 100, dedup=True)
+        unowned = transport.put(b"nobody's" * 100)
+        lease.release()
+        with pytest.raises((FileNotFoundError, OSError)):
+            transport.get(ref)
+        assert transport.get(unowned) == b"nobody's" * 100
+
+    def test_shared_blob_lives_until_last_holder(self, transport):
+        first, second = TransportLease(transport), TransportLease(transport)
+        blob = b"shared" * 1000
+        ref = first.put(blob, dedup=True)
+        assert second.put(blob, dedup=True) == ref  # dedup hit adds a hold
+        first.release()
+        assert transport.get(ref) == blob
+        second.delete(ref)  # dropping the last hold unlinks it
+        with pytest.raises((FileNotFoundError, OSError)):
+            transport.get(ref)
+
+    def test_socket_release_leaves_evictable_cache(self, socket_pair):
+        server, client = socket_pair
+        server.store_budget = 3000
+        lease = TransportLease(client)
+        held = lease.put(b"h" * 2000, dedup=True)
+        client.put(b"x" * 2000, dedup=True)  # over budget: evicts, spares held
+        assert server.get(held) == b"h" * 2000
+        lease.release()
+        # released content stays as cache, so an identical offer still hits
+        fresh = SocketTransport(server.addr, secret=server.secret)
+        try:
+            assert fresh.put(b"h" * 2000, dedup=True) == held
+            assert fresh.bytes_published == 0
+        finally:
+            fresh.close()
+        client.put(b"y" * 2000, dedup=True)  # now evictable under pressure
+        with pytest.raises(KeyError):
+            server.get(held)
 
 
 class TestShmNamespace:
