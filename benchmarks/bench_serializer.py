@@ -1,7 +1,7 @@
 """Serializer/transport smoke benchmark with structural assertions.
 
 A fast data-plane health check (CI runs it on every push): runs one Monte
-Carlo workload per serializer on the processes backend and asserts the
+Carlo workload per serializer on the cluster backend and asserts the
 structural properties the data-plane overhaul guarantees -- not wall-clock,
 which CI machines can't promise:
 
@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
+from repro.engine.cluster_backend import stop_all_clusters
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
@@ -36,16 +37,15 @@ SERIALIZERS = ("pickle", "numpy", "compressed")
 
 def run_one(dataset, serializer: str, args) -> dict:
     config = EngineConfig(
-        backend="processes",
+        backend="cluster",
         num_executors=args.executors,
         executor_cores=args.cores,
         default_parallelism=args.executors * args.cores,
         serializer=serializer,
-        # small workload: lower the by-ref threshold so task binaries take
-        # the transport path the assertions below exercise
-        transport_min_bytes=1024,
     )
     with Context(config) as ctx:
+        # the fleet's transport outlives contexts: count this run's traffic
+        pub0, dedup0 = ctx.transport.bytes_published, ctx.transport.dedup_hits
         scorer = DistributedSparkScore(
             ctx, dataset, flavor="vectorized", block_size=args.block_size
         )
@@ -64,8 +64,8 @@ def run_one(dataset, serializer: str, args) -> dict:
             "serializer_seconds": sum(t.serializer_seconds for t in totals),
             "driver_bytes_collected": sum(t.driver_bytes_collected for t in totals),
             "num_tasks": sum(len(s.tasks) for j in ctx.metrics.jobs for s in j.stages),
-            "transport_bytes_published": ctx.transport.bytes_published,
-            "transport_dedup_hits": ctx.transport.dedup_hits,
+            "transport_bytes_published": ctx.transport.bytes_published - pub0,
+            "transport_dedup_hits": ctx.transport.dedup_hits - dedup0,
             "exceed_counts": result.exceed_counts,
         }
 
@@ -93,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     rows = [run_one(dataset, serializer, args) for serializer in SERIALIZERS]
+    stop_all_clusters()
     for row in rows:
         print(
             f"{row['serializer']:>10}: {row['wall_seconds']:6.2f}s  "

@@ -57,8 +57,9 @@ class EngineConfig:
     """
 
     app_name: str = "sparkscore"
-    #: execution backend: "serial", "threads", "processes", or "cluster"
-    #: (persistent executor pool surviving across jobs and contexts)
+    #: execution backend: "serial", "threads", or "cluster" (persistent
+    #: worker-process fleet surviving across jobs and contexts);
+    #: "processes" is an alias of "cluster", kept as written here
     backend: str = "serial"
     #: number of executors (YARN containers); Experiment C varies this
     num_executors: int = 2
@@ -77,7 +78,9 @@ class EngineConfig:
     #: deterministic seed for engine-internal tie-breaking
     seed: int = 0
     #: seconds between executor heartbeats (0 disables the telemetry plane:
-    #: no hub thread, no heartbeat events, no timeout detection)
+    #: no hub thread, no heartbeat events, no timeout detection).  Cluster
+    #: workers send theirs over the executor socket at the interval they
+    #: were spawned with, so each interval gets its own fleet
     heartbeat_interval: float = 0.5
     #: seconds without a heartbeat from a busy executor before the driver
     #: declares it lost (``ExecutorTimedOut``); 0 disables timeout detection
@@ -92,9 +95,6 @@ class EngineConfig:
     #: "compressed" (numpy + zlib); governs shuffle blocks, shipped cache
     #: blocks, and serialized storage levels
     serializer: str = "pickle"
-    #: blobs at least this large travel by shared-memory/temp-file
-    #: transport ref instead of through the worker pipe (processes backend)
-    transport_min_bytes: int = 64 * 1024
     #: out-of-band transport scheme: "auto" (probe shared memory, fall back
     #: to temp files), "shm", "file", or "tcp" (socket blob server with
     #: SHA-256 dedup offers -- required for executors on other hosts)
@@ -191,7 +191,6 @@ class EngineConfig:
         "spark.network.timeout": "heartbeat_timeout",
         "spark.python.profile.fraction": "profile_fraction",
         "spark.serializer": "serializer",
-        "spark.transport.minBytes": "transport_min_bytes",
         "spark.transport.scheme": "transport_scheme",
         "spark.cluster.address": "cluster_address",
         "spark.cluster.secret": "cluster_secret",
@@ -256,8 +255,6 @@ class EngineConfig:
                 f"unknown serializer {self.serializer!r}; "
                 f"choose from {', '.join(SERIALIZER_NAMES)}"
             )
-        if self.transport_min_bytes < 0:
-            raise ValueError("transport_min_bytes must be >= 0")
         from repro.obs.logging import LEVELS
 
         if self.log_level not in LEVELS:
@@ -309,7 +306,7 @@ class EngineConfig:
         if attr is None:
             self.extra[key] = value
             return self
-        if attr in ("executor_memory", "transport_min_bytes"):
+        if attr == "executor_memory":
             value = parse_size(value)
         else:
             current = getattr(self, attr)

@@ -6,9 +6,9 @@ semantic fidelity plus metrics: the context records broadcast sizes so the
 cost model can charge network transfer, and ``unpersist``/``destroy``
 lifecycle matches Spark's.
 
-With the process backend a context-attached :class:`~repro.engine.transport.
+With the cluster backend a context-attached :class:`~repro.engine.transport.
 Transport` upgrades broadcasts to out-of-band delivery: the first pickle of
-a large broadcast publishes its compressed payload to shared memory (or the
+a broadcast publishes its compressed payload to shared memory (or the
 temp-file fallback) exactly once, and every task closure thereafter carries
 only a :class:`~repro.engine.transport.TransportRef`.  Workers attach the
 segment lazily on first ``.value`` access and memoize the decoded value for
@@ -28,10 +28,6 @@ from collections import OrderedDict
 from typing import Any, Generic, TypeVar
 
 T = TypeVar("T")
-
-#: compressed payloads at least this large travel by transport ref; tiny
-#: broadcasts are cheaper inline than as a ref + segment attach
-_BROADCAST_TRANSPORT_MIN = 16 * 1024
 
 #: worker-side memo: transport ref identity -> decoded value (read-only,
 #: safe to share).  Keyed by (scheme, key) rather than broadcast id because
@@ -54,19 +50,12 @@ class BroadcastDestroyedError(RuntimeError):
 class Broadcast(Generic[T]):
     """Handle to a value broadcast to all executors."""
 
-    def __init__(
-        self,
-        broadcast_id: int,
-        value: T,
-        transport: Any = None,
-        transport_min: int = _BROADCAST_TRANSPORT_MIN,
-    ) -> None:
+    def __init__(self, broadcast_id: int, value: T, transport: Any = None) -> None:
         self.id = broadcast_id
         self._value: T | None = value
         self._destroyed = False
         self._size_bytes: int | None = None
         self._transport = transport
-        self._transport_min = transport_min
         self._ref: Any = None  # TransportRef once published
         self._blob: bytes | None = None  # compressed pickle, driver-side cache
 
@@ -109,10 +98,10 @@ class Broadcast(Generic[T]):
         return value
 
     def _publish(self) -> bytes | None:
-        """Encode the payload and, when large, publish it out-of-band.
+        """Encode the payload and, given a transport, publish it out-of-band.
 
-        Returns the encoded blob when the broadcast stays inline, or
-        ``None`` once a transport ref exists.  Idempotent: the content-hash
+        Returns the encoded blob when the broadcast stays inline (no
+        transport), or ``None`` once a transport ref exists.  Idempotent: the content-hash
         dedup in :meth:`Transport.put` plus driver-side memoization mean
         repeated pickles of the same broadcast never re-publish.
         """
@@ -123,7 +112,7 @@ class Broadcast(Generic[T]):
                 raw = self._dumps(self._value)
                 self._size_bytes = len(raw)
                 self._blob = self._encode(raw)
-            if self._transport is not None and len(self._blob) >= self._transport_min:
+            if self._transport is not None:
                 self._ref = self._transport.put(self._blob, dedup=True)
                 self._blob = None  # the transport holds the bytes now
                 return None
@@ -153,19 +142,13 @@ class Broadcast(Generic[T]):
                 f"cannot ship destroyed broadcast {self.id}"
             )
         blob = self._publish()
-        return {
-            "id": self.id,
-            "ref": self._ref,
-            "blob": blob,
-            "transport_min": self._transport_min,
-        }
+        return {"id": self.id, "ref": self._ref, "blob": blob}
 
     def __setstate__(self, state: dict) -> None:
         self.id = state["id"]
         self._destroyed = False
         self._size_bytes = None
         self._transport = None
-        self._transport_min = state["transport_min"]
         self._ref = state["ref"]
         self._blob = None
         if state["blob"] is not None:

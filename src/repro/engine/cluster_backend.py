@@ -1,12 +1,14 @@
 """Persistent executor cluster: long-lived workers, event-driven dispatch.
 
-The process backend pays its dominant cost over and over: every Context
-forks a fresh pool, re-pickles every stage closure, re-publishes every
-broadcast, and tears it all down at ``stop()``.  This module keeps the
-fleet alive instead.  A :class:`ClusterManager` owns one single-threaded
-worker *process per task slot* (``executor_cores`` slots form one logical
-executor) connected back to the driver over loopback TCP, and survives any
-number of Context attach/detach cycles.  The payoff is the warm second
+A per-context process pool would pay its dominant cost over and over:
+every Context forks fresh workers, re-pickles every stage closure,
+re-publishes every broadcast, and tears it all down at ``stop()``.  This
+module keeps the fleet alive instead; it is the engine's only
+process-isolated backend (``"processes"`` is an alias of ``"cluster"``).
+A :class:`ClusterManager` owns one single-threaded worker *process per
+task slot* (``executor_cores`` slots form one logical executor) connected
+back to the driver over loopback TCP, and survives any number of Context
+attach/detach cycles.  The payoff is the warm second
 job: workers' task-binary caches (content-hash keyed, see
 :mod:`repro.engine.backends`), broadcast memos, and transport handles all
 hit, so a rerun ships refs instead of megabytes.
@@ -30,8 +32,8 @@ and surfaced as :class:`~repro.engine.listener.ExecutorRegistered` /
 Two deployment shapes share the protocol:
 
 - **in-process** (default): ``Context(backend="cluster")`` lazily builds a
-  process-wide :class:`ClusterManager` keyed by cluster shape; it persists
-  until :func:`stop_all_clusters`.
+  process-wide :class:`ClusterManager` keyed by cluster shape and
+  heartbeat interval; it persists until :func:`stop_all_clusters`.
 - **external**: ``sparkscore cluster start`` runs a :class:`ClusterHead`
   in its own process; drivers attach over TCP via :class:`ClusterClient`
   (``cluster_address`` config), and blobs travel the socket transport.
@@ -70,21 +72,6 @@ _REGISTER_TIMEOUT = 60.0
 # -- worker process -----------------------------------------------------------
 
 
-class _SocketHeartbeatSender:
-    """Duck-typed stand-in for the manager queue in ``_WORKER_HB``: the
-    worker heartbeat thread calls ``put(record)``, we frame it over the
-    driver connection instead."""
-
-    def __init__(self, sock: socket.socket, send_lock: threading.Lock) -> None:
-        self._sock = sock
-        self._send_lock = send_lock
-
-    def put(self, record: Any) -> None:
-        payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._send_lock:
-            frames.send_frame(self._sock, frames.HEARTBEAT, payload)
-
-
 def _cluster_worker_main(
     host: str, port: int, slot: int, executor_id: str, hb_interval: float,
     secret_hex: str,
@@ -96,7 +83,7 @@ def _cluster_worker_main(
     interleaves two tasks' increments, and DRAIN can exit at any frame
     boundary knowing nothing is in flight.
     """
-    from repro.engine.backends import _WORKER_HB, _run_pickled_task
+    from repro.engine.backends import _run_pickled_task, install_worker_heartbeats
 
     try:
         conn = socket.create_connection((host, port), timeout=30.0)
@@ -113,11 +100,14 @@ def _cluster_worker_main(
     conn.settimeout(None)
     send_lock = threading.Lock()
     if hb_interval > 0:
-        # the existing worker heartbeat machinery (backends._WORKER_HB)
-        # drives a daemon thread that calls .put(record); substituting a
-        # socket sender reuses it wholesale
-        _WORKER_HB["queue"] = _SocketHeartbeatSender(conn, send_lock)
-        _WORKER_HB["interval"] = max(hb_interval, 0.05)
+        # the worker heartbeat thread (repro.engine.backends) reports this
+        # slot's in-flight tasks as HEARTBEAT frames on the driver socket
+        def send_heartbeat(record: Any) -> None:
+            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            with send_lock:
+                frames.send_frame(conn, frames.HEARTBEAT, payload)
+
+        install_worker_heartbeats(send_heartbeat, hb_interval)
     try:
         with send_lock:
             frames.send_frame(conn, frames.REGISTER, pickle.dumps(
@@ -334,9 +324,6 @@ class ClusterManager:
             ), token))
         self._wake()
         return future
-
-    def heartbeat_queue(self, interval: float) -> "queue.Queue[Any]":
-        return self.hb_queue
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         """True exactly once per (executor, binary content hash) -- ever."""
@@ -712,8 +699,19 @@ _CLUSTERS_LOCK = threading.Lock()
 
 
 def get_cluster(config: "EngineConfig") -> ClusterManager:
-    """The process-wide persistent cluster for this shape (create on first use)."""
-    key = (config.num_executors, config.executor_cores, config.transport_scheme)
+    """The process-wide persistent cluster for this shape (create on first use).
+
+    The heartbeat interval is part of the key: workers fix it at spawn, so
+    a fleet started silent (interval 0) would never heartbeat for a
+    context that wants liveness, and its hub would time every busy
+    executor out.
+    """
+    key = (
+        config.num_executors,
+        config.executor_cores,
+        config.transport_scheme,
+        config.heartbeat_interval,
+    )
     with _CLUSTERS_LOCK:
         manager = _CLUSTERS.get(key)
         if manager is None or manager.stopped:
@@ -734,9 +732,7 @@ def get_cluster_client(config: "EngineConfig") -> "ClusterClient":
     with _CLUSTERS_LOCK:
         client = _CLUSTERS.get(key)
         if client is None or client.stopped:
-            client = ClusterClient(
-                config.cluster_address, config.heartbeat_interval, secret=secret
-            )
+            client = ClusterClient(config.cluster_address, secret=secret)
             _CLUSTERS[key] = client
         return client
 
@@ -760,16 +756,15 @@ class ClusterBackend:
     """Backend facade over the persistent cluster (or an external head).
 
     ``shutdown`` only detaches -- the cluster outlives the context by
-    design.  ``stable_placement`` pins partition -> executor across jobs so
-    warm caches actually get re-hit; ``persistent_executors`` makes the
-    scheduler publish every task binary by transport ref (size threshold
-    0), which is what turns job 2's publication into a dedup hit.
+    design.  ``supports_shared_state = False`` tells the scheduler it faces
+    this persistent, process-isolated fleet: it pins partition -> executor
+    across jobs so warm caches actually get re-hit, and publishes every
+    task binary by transport ref, which is what turns job 2's publication
+    into a dedup hit.
     """
 
     name = "cluster"
     supports_shared_state = False
-    stable_placement = True
-    persistent_executors = True
 
     def __init__(self, config: "EngineConfig") -> None:
         self.parallelism = max(1, config.total_cores)
@@ -783,8 +778,10 @@ class ClusterBackend:
     def transport(self) -> Any:
         return self._manager.transport
 
-    def heartbeat_queue(self, interval: float) -> Any:
-        return self._manager.heartbeat_queue(interval)
+    @property
+    def heartbeat_queue(self) -> "queue.Queue[Any]":
+        """Worker heartbeat records, fed by the executor sockets."""
+        return self._manager.hb_queue
 
     def submit_pickled(
         self, payload: bytes, executor_id: str | None = None
@@ -1088,14 +1085,12 @@ class ClusterClient:
     """Driver-side handle to an external :class:`ClusterHead`.
 
     Presents the same surface as :class:`ClusterManager` (submit /
-    heartbeat_queue / attach / note_binary_shipped / executor_info), so
+    hb_queue / attach / note_binary_shipped / executor_info), so
     :class:`ClusterBackend` cannot tell local from remote.  One persistent
     connection; a reader thread resolves futures and feeds heartbeats.
     """
 
-    def __init__(
-        self, address: str, hb_interval: float = 0.5, secret: str = ""
-    ) -> None:
+    def __init__(self, address: str, secret: str = "") -> None:
         host, _, port = address.rpartition(":")
         self.address = address
         self.stopped = False
@@ -1189,9 +1184,6 @@ class ClusterClient:
                 self._futures.pop(token, None)
             future.set_exception(exc)
         return future
-
-    def heartbeat_queue(self, interval: float) -> "queue.Queue[Any]":
-        return self.hb_queue
 
     def note_binary_shipped(self, executor_id: str, binary_id: str) -> bool:
         with self._lock:

@@ -11,7 +11,7 @@ from repro.config import EngineConfig
 from repro.engine.accumulator import Accumulator
 from repro.engine.backends import make_backend
 from repro.engine.blockmanager import BlockManagerMaster
-from repro.engine.broadcast import _BROADCAST_TRANSPORT_MIN, Broadcast
+from repro.engine.broadcast import Broadcast
 from repro.engine.executor import build_executors
 from repro.engine.faults import FaultInjector
 from repro.engine.listener import ExecutorLost, ListenerBus
@@ -79,32 +79,20 @@ class Context:
         self.serializer = get_serializer(self.config.serializer)
         self.backend = make_backend(self.config)
         #: out-of-band blob transport (shared memory / temp files / TCP);
-        #: only process-isolated backends move bytes across address spaces,
-        #: so shared-state backends skip the segment bookkeeping.  The
-        #: cluster backend *owns* its transport (it must outlive this
-        #: context so warm workers keep their handles); the process backend
-        #: gets a context-owned one.  Either way this context publishes
-        #: through a lease, and ``stop()`` releases everything it published
+        #: only the process-isolated cluster backend moves bytes across
+        #: address spaces, so shared-state backends skip the segment
+        #: bookkeeping.  The cluster *owns* its transport (it must outlive
+        #: this context so warm workers keep their handles); this context
+        #: publishes through a lease, and ``stop()`` releases everything
+        #: it published.  With a transport, broadcasts, source blocks and
+        #: task binaries all ship by ref: warm workers memoize refs by
+        #: content, and binaries stay lineage-only
         transport = getattr(self.backend, "transport", None)
-        self._owns_transport = False
-        if transport is None and self.config.backend == "processes":
-            from repro.engine.transport import create_transport
-
-            transport = create_transport(self.config.transport_scheme)
-            self._owns_transport = True
         self.transport = None
         if transport is not None:
             from repro.engine.transport import TransportLease
 
             self.transport = TransportLease(transport)
-        #: payload size from which broadcasts and source blocks ship by
-        #: transport ref.  A persistent fleet takes everything by ref, for
-        #: the reason the scheduler publishes every binary there: warm
-        #: workers memoize refs by content, and binaries stay lineage-only
-        self.transport_min = (
-            0 if getattr(self.backend, "persistent_executors", False)
-            else _BROADCAST_TRANSPORT_MIN
-        )
         self.executors = build_executors(
             self.config.num_executors,
             self.config.executor_cores,
@@ -337,8 +325,7 @@ class Context:
 
     def broadcast(self, value: Any) -> Broadcast:
         self._check_alive()
-        return Broadcast(next(self._broadcast_ids), value, transport=self.transport,
-                         transport_min=self.transport_min)
+        return Broadcast(next(self._broadcast_ids), value, transport=self.transport)
 
     def accumulator(self, initial: Any, op: Callable | None = None, zero: Any | None = None) -> Accumulator:
         self._check_alive()
@@ -461,8 +448,6 @@ class Context:
                 executor.block_manager.clear()
             if self.transport is not None:
                 self.transport.release()
-                if self._owns_transport:
-                    self.transport.close()
             self._stopped = True
 
     def _check_alive(self) -> None:

@@ -10,9 +10,10 @@ in flight every executor periodically reports liveness and progress
   unless an executor's heartbeats are suspended
   (:meth:`~repro.engine.executor.Executor.suspend_heartbeats`), which is
   how tests and fault drills simulate a frozen executor;
-- **process backend**: each worker process runs a small daemon thread that
-  ships :class:`HeartbeatRecord`\\ s over a ``multiprocessing`` manager
-  queue -- genuine cross-process liveness.
+- **cluster backend** (``"processes"`` is an alias): each worker process
+  runs a small daemon thread that ships :class:`HeartbeatRecord`\\ s as
+  frames over its executor socket -- genuine cross-process liveness.  The
+  backend queues them for the hub.
 
 The hub posts every received record as a typed
 :class:`~repro.engine.listener.ExecutorHeartbeat` on the listener bus (so
@@ -70,7 +71,7 @@ class HeartbeatHub(Listener):
     ``interval`` seconds:
 
     1. emits heartbeats for busy driver-hosted executors (shared backends);
-    2. drains worker-process heartbeats from the manager queue;
+    2. drains worker-process heartbeats from the backend's queue;
     3. flags busy executors silent for longer than ``timeout`` seconds.
 
     The scheduler consumes flagged executors via :meth:`take_timed_out`.
@@ -97,12 +98,11 @@ class HeartbeatHub(Listener):
 
     def start(self) -> None:
         backend = self.ctx.backend
-        if not backend.supports_shared_state and hasattr(backend, "heartbeat_queue"):
-            # the queue (and the Manager behind it, for the process backend)
-            # belongs to the backend, not the hub: persistent pools outlive
-            # this context, and a hub-owned queue dying with the context
-            # would permanently silence every warm worker's heartbeats
-            self._worker_queue = backend.heartbeat_queue(self.interval)
+        if not backend.supports_shared_state:
+            # the queue belongs to the fleet, not the hub: the fleet
+            # outlives this context, and a hub-owned queue dying with the
+            # context would silence every warm worker's heartbeats
+            self._worker_queue = backend.heartbeat_queue
         self._thread = threading.Thread(
             target=self._run, name="repro-heartbeat-hub", daemon=True
         )
@@ -223,8 +223,6 @@ class HeartbeatHub(Listener):
             try:
                 record = self._worker_queue.get_nowait()
             except queue.Empty:
-                return
-            except (EOFError, OSError, ConnectionError):  # manager shut down
                 return
             self._receive(record)
 

@@ -597,7 +597,7 @@ def source_blocks(ctx: "Context", values: list) -> list:
     if ctx.transport is None:
         return values
     return [
-        SourceBlock(i, v, transport=ctx.transport, transport_min=ctx.transport_min)
+        SourceBlock(i, v, transport=ctx.transport)
         for i, v in enumerate(values)
     ]
 

@@ -1,12 +1,12 @@
-"""Out-of-band payload transport for the process backend.
+"""Out-of-band payload transport for the cluster backend.
 
-The pool pipe is the wrong place for megabyte payloads: every task that
-ships a stage's task binary (or a large broadcast / result body) through
-``ProcessPoolExecutor`` pays a full pickle copy through a pipe per task.
-This module moves those payloads through POSIX shared memory
+The executor socket is the wrong place for megabyte payloads: every task
+that ships a stage's task binary (or a large broadcast / result body)
+inline pays a full pickle copy through the socket per task.  This module
+moves those payloads through POSIX shared memory
 (:mod:`multiprocessing.shared_memory`) -- or a temp-file handoff when
 shared memory is unavailable -- and ships only a tiny
-:class:`TransportRef` through the pipe.  A third variant,
+:class:`TransportRef` through the socket.  A third variant,
 :class:`SocketTransport`, serves the same refs over TCP with SHA-256
 dedup offers ahead of every payload push, so executors on *other hosts*
 (the persistent cluster's remote workers) speak the identical protocol.

@@ -95,13 +95,11 @@ def no_leaked_engine_threads():
 @pytest.fixture(autouse=True, scope="session")
 def _reap_persistent_engine():
     """End-of-session teardown for intentionally persistent machinery:
-    the cluster fleet(s) and the shared process pool."""
+    the cluster fleet(s), which also serve the processes backend."""
     yield
-    from repro.engine.backends import shutdown_shared_pool
     from repro.engine.cluster_backend import stop_all_clusters
 
     stop_all_clusters()
-    shutdown_shared_pool()
 
 
 @pytest.fixture

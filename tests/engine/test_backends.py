@@ -1,4 +1,4 @@
-"""Execution backends: serial, threads, processes."""
+"""Execution backends: serial, threads, processes (an alias of cluster)."""
 
 import operator
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.config import EngineConfig
-from repro.engine.backends import ProcessBackend, SerialBackend, ThreadBackend, make_backend
+from repro.engine.backends import SerialBackend, ThreadBackend, make_backend
 from repro.engine.context import Context
 from repro.engine.storage import StorageLevel
 
@@ -67,7 +67,8 @@ class TestThreadBackend:
 
 @pytest.mark.slow
 class TestProcessBackend:
-    """Process backend needs picklable closures (module-level functions)."""
+    """The processes backend (the cluster fleet under its alias) needs
+    picklable closures (module-level functions)."""
 
     @pytest.fixture
     def pctx(self):
@@ -114,13 +115,19 @@ class TestProcessBackend:
         pctx.parallelize(range(40), 4).map(_square).collect()
         totals = pctx.metrics.last_job.totals()
         assert totals.task_binary_bytes > 0
-        # every attempt reports the same per-stage blob size
-        sizes = {
-            rec.metrics.task_binary_bytes
-            for rec in pctx.metrics.last_job.stages[0].tasks
-            if rec.succeeded
-        }
-        assert len(sizes) == 1
+        # every attempt is charged exactly once: the stage's blob on an
+        # executor's first sight of the binary, the ref's bytes after that
+        charges: dict[str, list[int]] = {}
+        for rec in pctx.metrics.last_job.stages[0].tasks:
+            if rec.succeeded:
+                charges.setdefault(rec.executor_id, []).append(
+                    rec.metrics.task_binary_bytes
+                )
+        sizes = {size for per_exec in charges.values() for size in per_exec}
+        assert 1 <= len(sizes) <= 2
+        ref_cost = min(sizes)
+        for per_exec in charges.values():
+            assert sum(size != ref_cost for size in per_exec) <= 1
 
     def test_driver_bytes_collected_recorded(self, pctx):
         pctx.parallelize(range(40), 4).map(_square).collect()

@@ -48,8 +48,7 @@ class TestBroadcast:
         bc._WORKER_VALUES.clear()
         try:
             for i in range(4):
-                b = Broadcast(i, list(range(i, i + 2000)), transport=t,
-                              transport_min=0)
+                b = Broadcast(i, list(range(i, i + 2000)), transport=t)
                 clone = pickle.loads(pickle.dumps(b))
                 assert clone.value[0] == i  # fetched by ref through the memo
             assert len(bc._WORKER_VALUES) == 2

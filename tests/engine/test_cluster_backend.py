@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import EngineConfig
 from repro.engine.cluster_backend import (
+    ClusterBackend,
     ClusterHead,
     ClusterManager,
     cluster_shutdown,
@@ -155,8 +156,8 @@ class TestTwoJobWarmth:
     def test_broadcast_memo_hits_on_second_job(self):
         memo_before = _counter_total("broadcast_memo_hits_total")
         with Context(_cluster_config()) as ctx:
-            # incompressible and > _BROADCAST_TRANSPORT_MIN, so the value
-            # travels by transport ref and workers go through the memo
+            # with a transport the value travels by ref, so workers go
+            # through the memo
             payload = np.random.default_rng(0).integers(
                 0, 255, 100_000, dtype=np.uint8
             ).tobytes()
@@ -355,7 +356,8 @@ class TestExternalHead:
 
 
 class TestSharedProcessPool:
-    """Satellite: the processes backend keeps its pool across contexts."""
+    """The processes backend is an alias of the persistent cluster, so its
+    workers survive across contexts."""
 
     def test_pool_survives_context_teardown(self):
         config = EngineConfig(
@@ -364,14 +366,12 @@ class TestSharedProcessPool:
         )
         with Context(config) as ctx1:
             ctx1.parallelize(range(4), 2).map(_square).collect()
-            pool1 = ctx1.backend._ensure_pool()
-            pids1 = {p.pid for p in pool1._processes.values()}
+            pids1 = [e["pid"] for e in ctx1.backend.executor_info()]
         with Context(config) as ctx2:
             ctx2.parallelize(range(4), 2).map(_square).collect()
-            pool2 = ctx2.backend._ensure_pool()
-            pids2 = {p.pid for p in pool2._processes.values()}
-        assert pool1 is pool2
-        assert pids1 == pids2  # same OS processes, not a lookalike pool
+            pids2 = [e["pid"] for e in ctx2.backend.executor_info()]
+        assert all(pid > 0 for pid in pids1)
+        assert pids1 == pids2  # same OS processes, not a lookalike fleet
 
     def test_detached_backend_refuses_submits(self):
         config = EngineConfig(
@@ -384,19 +384,34 @@ class TestSharedProcessPool:
         with pytest.raises(RuntimeError, match="shut down"):
             backend.submit_pickled(b"")
 
-    def test_pool_retires_on_shape_change(self):
-        small = EngineConfig(
-            backend="processes", num_executors=1, executor_cores=1,
-            default_parallelism=1, heartbeat_interval=0.0,
+
+class TestProcessesAlias:
+    """``processes`` names the cluster backend.  Its statistics are pinned
+    bit-identical to serial by tests/core/test_backend_equivalence.py."""
+
+    def test_builds_cluster_backend(self):
+        with Context(EngineConfig(backend="processes")) as ctx:
+            assert isinstance(ctx.backend, ClusterBackend)
+            assert ctx.config.backend == "processes"  # kept as written
+            assert ctx.transport is not None
+
+
+def _sleep_long(x):
+    time.sleep(1.5)
+    return x
+
+
+class TestHeartbeatIntervalKeysFleet:
+    def test_reused_fleet_heartbeats_at_the_new_interval(self):
+        """A context wanting heartbeats must not land on a fleet spawned
+        silent: the hub would time out its busy executor mid-task."""
+        silent = _cluster_config(
+            num_executors=1, executor_cores=1, default_parallelism=1,
+            heartbeat_interval=0.0,
         )
-        large = EngineConfig(
-            backend="processes", num_executors=2, executor_cores=2,
-            default_parallelism=4, heartbeat_interval=0.0,
-        )
-        with Context(small) as ctx:
-            ctx.parallelize([1], 1).map(_square).collect()
-            pool_small = ctx.backend._ensure_pool()
-        with Context(large) as ctx:
-            ctx.parallelize(range(4), 4).map(_square).collect()
-            pool_large = ctx.backend._ensure_pool()
-        assert pool_small is not pool_large
+        with Context(silent) as ctx:
+            assert ctx.parallelize([1], 1).map(_square).collect() == [1]
+        beating = silent.copy(heartbeat_interval=0.1, heartbeat_timeout=0.5)
+        with Context(beating) as ctx:
+            assert ctx.parallelize([3], 1).map(_sleep_long).collect() == [3]
+            assert ctx.heartbeats.records_received > 0

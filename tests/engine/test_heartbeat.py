@@ -47,13 +47,13 @@ class TestHeartbeatFlow:
             collected = ctx.add_listener(CollectingListener(ExecutorHeartbeat))
             total = ctx.parallelize(range(16), 8).map(_slow).sum()
             assert total == 120
-            # worker heartbeats may still be in the manager queue; give the
+            # worker heartbeats may still be in the fleet's queue; give the
             # hub a couple of drain ticks
             deadline = time.time() + 2.0
             while not collected.of(ExecutorHeartbeat) and time.time() < deadline:
                 time.sleep(0.05)
             beats = collected.of(ExecutorHeartbeat)
-            assert beats, "worker processes should heartbeat over the queue"
+            assert beats, "worker processes should heartbeat over their sockets"
             assert any(b.worker_pid != os.getpid() for b in beats), (
                 "heartbeats must originate in the worker processes"
             )
