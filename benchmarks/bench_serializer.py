@@ -1,15 +1,13 @@
-"""Serializer/transport smoke benchmark with structural assertions.
+"""Data-plane/transport smoke benchmark with structural assertions.
 
 A fast data-plane health check (CI runs it on every push): runs one Monte
-Carlo workload per serializer on the cluster backend and asserts the
-structural properties the data-plane overhaul guarantees -- not wall-clock,
-which CI machines can't promise:
+Carlo workload on the cluster backend and asserts the structural
+properties the data plane guarantees -- not wall-clock, which CI machines
+can't promise:
 
-- statistics are bit-identical across serializers;
+- statistics are bit-identical to the single-node NumPy reference;
 - ``task_binary_bytes`` stays under a dedup budget (the compressed stage
   binary is charged once per executor, later tasks pay only the ref);
-- with the compressed serializer, framed shuffle bytes land strictly below
-  the raw serialized bytes;
 - the shared-memory/temp-file transport publishes each binary once, even
   though every task references one: every publish is content-dedup'd, so
   a second publish of a binary (or of a source block) would count a dedup
@@ -28,20 +26,18 @@ import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.algorithms import DistributedSparkScore
+from repro.core.local import LocalSparkScore
 from repro.engine.cluster_backend import stop_all_clusters
 from repro.engine.context import Context
 from repro.genomics.synthetic import SyntheticConfig, generate_dataset
 
-SERIALIZERS = ("pickle", "numpy", "compressed")
 
-
-def run_one(dataset, serializer: str, args) -> dict:
+def run_one(dataset, args) -> dict:
     config = EngineConfig(
         backend="cluster",
         num_executors=args.executors,
         executor_cores=args.cores,
         default_parallelism=args.executors * args.cores,
-        serializer=serializer,
     )
     with Context(config) as ctx:
         # the fleet's transport outlives contexts: count this run's traffic
@@ -56,11 +52,9 @@ def run_one(dataset, serializer: str, args) -> dict:
         wall = time.perf_counter() - start
         totals = [job.totals() for job in ctx.metrics.jobs]
         return {
-            "serializer": serializer,
             "wall_seconds": wall,
             "task_binary_bytes": sum(t.task_binary_bytes for t in totals),
             "shuffle_bytes": sum(t.shuffle_bytes_written for t in totals),
-            "shuffle_compressed_bytes": sum(t.shuffle_compressed_bytes for t in totals),
             "serializer_seconds": sum(t.serializer_seconds for t in totals),
             "driver_bytes_collected": sum(t.driver_bytes_collected for t in totals),
             "num_tasks": sum(len(s.tasks) for j in ctx.metrics.jobs for s in j.stages),
@@ -92,51 +86,39 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
-    rows = [run_one(dataset, serializer, args) for serializer in SERIALIZERS]
+    row = run_one(dataset, args)
     stop_all_clusters()
-    for row in rows:
-        print(
-            f"{row['serializer']:>10}: {row['wall_seconds']:6.2f}s  "
-            f"task-binaries {row['task_binary_bytes']:>10,} B  "
-            f"shuffle {row['shuffle_bytes']:>9,} B raw / "
-            f"{row['shuffle_compressed_bytes']:>9,} B framed  "
-            f"published {row['transport_bytes_published']:>9,} B"
-        )
+    print(
+        f"cluster: {row['wall_seconds']:6.2f}s  "
+        f"task-binaries {row['task_binary_bytes']:>10,} B  "
+        f"shuffle {row['shuffle_bytes']:>9,} B  "
+        f"published {row['transport_bytes_published']:>9,} B"
+    )
 
-    # 1. bit-identical statistics across serializers
-    for row in rows[1:]:
-        assert np.array_equal(row["exceed_counts"], rows[0]["exceed_counts"]), (
-            f"serializer {row['serializer']} changed the statistics"
-        )
+    # 1. bit-identical statistics across the process boundary
+    local = LocalSparkScore(dataset).monte_carlo(
+        args.iterations, seed=args.seed, batch_size=args.batch_size
+    )
+    assert np.array_equal(row["exceed_counts"], local.exceed_counts), (
+        "cluster backend changed the statistics"
+    )
 
     # 2. task-binary dedup holds the accounted bytes under budget
-    for row in rows:
-        assert row["task_binary_bytes"] < args.task_binary_budget, (
-            f"{row['serializer']}: task_binary_bytes {row['task_binary_bytes']:,} "
-            f"exceeds budget {args.task_binary_budget:,} -- per-executor dedup broken?"
-        )
-        assert row["transport_bytes_published"] > 0 and row["transport_dedup_hits"] == 0, (
-            f"{row['serializer']}: published {row['transport_bytes_published']:,} B "
-            f"with {row['transport_dedup_hits']} dedup hit(s) -- binaries are "
-            "being re-published per task instead of shipped by ref"
-        )
-
-    # 3. compression bites on the shuffle plane
-    compressed = next(r for r in rows if r["serializer"] == "compressed")
-    assert 0 < compressed["shuffle_compressed_bytes"] < compressed["shuffle_bytes"], (
-        f"compressed serializer did not shrink shuffle frames "
-        f"({compressed['shuffle_compressed_bytes']:,} vs {compressed['shuffle_bytes']:,})"
+    assert row["task_binary_bytes"] < args.task_binary_budget, (
+        f"task_binary_bytes {row['task_binary_bytes']:,} "
+        f"exceeds budget {args.task_binary_budget:,} -- per-executor dedup broken?"
     )
-    # uncompressed serializers frame 1:1
-    for row in rows:
-        if row["serializer"] != "compressed":
-            assert row["shuffle_compressed_bytes"] == row["shuffle_bytes"]
+    assert (
+        row["transport_bytes_published"] > 0 and row["transport_dedup_hits"] == 0
+    ), (
+        f"published {row['transport_bytes_published']:,} B "
+        f"with {row['transport_dedup_hits']} dedup hit(s) -- binaries are "
+        "being re-published per task instead of shipped by ref"
+    )
 
     print("\nall structural assertions passed")
     if args.output:
-        report = [
-            {k: v for k, v in row.items() if k != "exceed_counts"} for row in rows
-        ]
+        report = {k: v for k, v in row.items() if k != "exceed_counts"}
         with open(args.output, "w") as fh:
             json.dump(report, fh, indent=2)
         print(f"report written to {args.output}")

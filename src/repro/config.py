@@ -91,10 +91,6 @@ class EngineConfig:
     profile_fraction: float = 0.0
     #: hotspot rows kept per profiled task attempt
     profile_top_n: int = 20
-    #: data-plane serializer: "pickle", "numpy" (raw ndarray frames), or
-    #: "compressed" (numpy + zlib); governs shuffle blocks, shipped cache
-    #: blocks, and serialized storage levels
-    serializer: str = "pickle"
     #: out-of-band transport scheme: "auto" (probe shared memory, fall back
     #: to temp files), "shm", "file", or "tcp" (socket blob server with
     #: SHA-256 dedup offers -- required for executors on other hosts)
@@ -148,10 +144,6 @@ class EngineConfig:
     #: buckets below this fraction of the median are coalesced with
     #: adjacent small buckets
     adaptive_coalesce_ratio: float = 0.25
-    #: probe the first map output of each shuffle and pick the cheapest
-    #: serializer (pickle/numpy/compressed) per shuffle (requires
-    #: ``adaptive_enabled``)
-    adaptive_serializer: bool = True
     #: launch duplicate attempts of straggling tasks on warm executors;
     #: first result wins, the loser is cancelled and ignored
     speculation_enabled: bool = False
@@ -190,7 +182,6 @@ class EngineConfig:
         "spark.executor.heartbeatInterval": "heartbeat_interval",
         "spark.network.timeout": "heartbeat_timeout",
         "spark.python.profile.fraction": "profile_fraction",
-        "spark.serializer": "serializer",
         "spark.transport.scheme": "transport_scheme",
         "spark.cluster.address": "cluster_address",
         "spark.cluster.secret": "cluster_secret",
@@ -203,7 +194,6 @@ class EngineConfig:
         "spark.sql.adaptive.enabled": "adaptive_enabled",
         "spark.adaptive.maxSplits": "adaptive_max_splits",
         "spark.adaptive.coalesceRatio": "adaptive_coalesce_ratio",
-        "spark.adaptive.serializer": "adaptive_serializer",
         "spark.diagnostics.skewRatio": "skew_max_over_median",
         "spark.diagnostics.minTasks": "diagnostics_min_tasks",
         "spark.metrics.interval": "metrics_interval",
@@ -248,13 +238,6 @@ class EngineConfig:
             raise ValueError("profile_fraction must be in [0, 1]")
         if self.profile_top_n < 1:
             raise ValueError("profile_top_n must be >= 1")
-        from repro.engine.serializer import SERIALIZER_NAMES
-
-        if self.serializer not in SERIALIZER_NAMES:
-            raise ValueError(
-                f"unknown serializer {self.serializer!r}; "
-                f"choose from {', '.join(SERIALIZER_NAMES)}"
-            )
         from repro.obs.logging import LEVELS
 
         if self.log_level not in LEVELS:

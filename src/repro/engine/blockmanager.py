@@ -165,19 +165,6 @@ class BlockManager:
         self.spills = 0
         #: optional listener bus (set by the context); cache events go here
         self.bus: "ListenerBus | None" = None
-        #: data-plane serializer for serialized storage levels and spill
-        #: files (set by the context / worker entry point); pickle when unset
-        self.serializer: Any = None
-
-    def _dumps(self, data: list) -> bytes:
-        if self.serializer is not None:
-            return self.serializer.dumps(data)
-        return pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def _loads(self, frame: bytes) -> list:
-        if self.serializer is not None:
-            return self.serializer.loads(frame)
-        return pickle.loads(frame)
 
     # -- properties --------------------------------------------------------
 
@@ -216,7 +203,7 @@ class BlockManager:
         serialized = None
         est_start = time.perf_counter()
         if level.serialized:
-            serialized = self._dumps(materialized)
+            serialized = pickle.dumps(materialized, protocol=pickle.HIGHEST_PROTOCOL)
             size = len(serialized) + 64
         else:
             size = 64 + sum(estimate_size(item) for item in materialized)
@@ -259,12 +246,12 @@ class BlockManager:
             if block is not None:
                 self._blocks.move_to_end(block_id)
                 if block.level.serialized and block.serialized is not None:
-                    return self._loads(block.serialized)
+                    return pickle.loads(block.serialized)
                 return block.data
             path = self._spilled.get(block_id)
         if path is not None:
             with open(path, "rb") as fh:
-                return self._loads(fh.read())
+                return pickle.loads(fh.read())
         return None
 
     def was_spilled(self, block_id: BlockId) -> bool:
@@ -312,7 +299,7 @@ class BlockManager:
         os.makedirs(self._spill_dir, exist_ok=True)
         path = os.path.join(self._spill_dir, f"block_{block_id[0]}_{block_id[1]}.pkl")
         with open(path, "wb") as fh:
-            fh.write(self._dumps(data))
+            fh.write(pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL))
         with self._lock:
             self._spilled[block_id] = path
         self.spills += 1

@@ -43,11 +43,12 @@ future fields can be added compatibly.  Version history:
 - **v7** -- adaptive query execution.  Task records gain an optional
   ``speculative`` flag (present only when a winning attempt was a
   speculative twin), and a new ``adaptive`` side channel records every
-  planner decision: skew splits/coalesces, per-shuffle serializer picks,
-  and speculative launches.  Recoverable via :func:`read_adaptive` so
-  ``sparkscore history`` and post-mortem bundles can show *why* a job's
-  physical plan diverged from its static one.  v6 and earlier logs load
-  unchanged.
+  planner decision: skew splits/coalesces and speculative launches.
+  ``serializer`` decisions exist only in old logs, written while the
+  engine still picked a serializer per shuffle; they load unchanged.
+  Recoverable via :func:`read_adaptive` so ``sparkscore history`` and
+  post-mortem bundles can show *why* a job's physical plan diverged from
+  its static one.  v6 and earlier logs load unchanged.
 - **v8** -- inference observability.  An ``inference`` side channel
   records the convergence of resampling p-values: one ``batch`` line per
   replicate batch folded into the convergence monitor (running replicate
@@ -401,9 +402,9 @@ def read_adaptive(path_or_file: str | IO[str]) -> list[dict]:
     """Load the v7 adaptive-decision records from an event log.
 
     Returns raw decision dicts in file order -- ``kind`` is ``"split"``,
-    ``"coalesce"``, ``"rebalance"``, ``"serializer"``, or
-    ``"speculation"`` -- empty for v1-v6 logs.  Unparseable lines are
-    skipped (the side channel is best-effort).
+    ``"coalesce"``, ``"rebalance"``, or ``"speculation"`` (old logs may
+    also hold ``"serializer"`` picks) -- empty for v1-v6 logs.
+    Unparseable lines are skipped (the side channel is best-effort).
     """
     own = isinstance(path_or_file, str)
     fh: IO[str] = open(path_or_file) if own else path_or_file  # type: ignore[assignment]

@@ -27,8 +27,9 @@ class TaskMetrics:
     shuffle_bytes_written: int = 0
     shuffle_records_read: int = 0
     shuffle_records_written: int = 0
-    #: framed (post-compression) shuffle bytes actually stored/moved; equals
-    #: ``shuffle_bytes_written`` under an uncompressed serializer
+    #: framed shuffle bytes actually stored/moved; frames are uncompressed
+    #: pickle, so this equals ``shuffle_bytes_written`` (kept for event-log
+    #: and benchmark compatibility)
     shuffle_compressed_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -36,8 +37,8 @@ class TaskMetrics:
     disk_blocks_read: int = 0
     compute_seconds: float = 0.0
     size_estimation_seconds: float = 0.0
-    #: wall seconds spent in the data-plane serializer (shuffle frame
-    #: encode/decode), distinct from result/task-payload pickling
+    #: wall seconds spent pickling/unpickling shuffle frames, distinct
+    #: from result/task-payload pickling
     serializer_seconds: float = 0.0
     #: estimated bytes of this task's result materialized on the driver
     driver_bytes_collected: int = 0

@@ -1,4 +1,4 @@
-"""Adaptive query execution: skew remaps, speculation, serializer tuning.
+"""Adaptive query execution: skew remaps and speculation.
 
 Three layers of coverage:
 
@@ -260,33 +260,6 @@ def test_speculation_disabled_on_serial_backend():
         assert ctx.adaptive.snapshot()["speculative_launched"] == 0
 
 
-# -- serializer auto-selection -------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_serializer_auto_selected_per_shuffle(backend):
-    # genuinely distinct payloads: constant-folded repeats pickle-memoize
-    # into tiny frames and the probe correctly keeps "pickle"
-    data = [(i % 8, ("row-%06d" % i) * 40) for i in range(400)]
-
-    def run(adaptive: bool):
-        config = _adaptive_config(backend) if adaptive else EngineConfig(
-            backend=backend, num_executors=2, executor_cores=2,
-            default_parallelism=4,
-        )
-        with Context(config) as ctx:
-            result = ctx.parallelize(data, 4).partition_by(8).collect()
-            snap = ctx.adaptive.snapshot()
-        return result, snap
-
-    static, _ = run(adaptive=False)
-    adapted, snap = run(adaptive=True)
-    assert adapted == static
-    assert snap["serializer_picks"] >= 1
-    picks = [d for d in snap["decisions"] if d["kind"] == "serializer"]
-    assert picks and "compressed" in picks[0]["detail"]
-
-
 # -- eventlog v7 side channel --------------------------------------------------
 
 
@@ -410,8 +383,6 @@ def test_spark_conf_aliases():
     assert config.adaptive_max_splits == 4
     config.set("spark.adaptive.coalesceRatio", "0.1")
     assert config.adaptive_coalesce_ratio == 0.1
-    config.set("spark.adaptive.serializer", "false")
-    assert config.adaptive_serializer is False
 
 
 def test_config_validation_rejects_bad_adaptive_values():

@@ -1,5 +1,7 @@
 """Block-manager caching: hits, eviction, spill, remote fetch."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -172,23 +174,19 @@ class TestBlockManager:
         sizes = {estimate_size(array.array("b", b"z" * 1000)) for _ in range(20)}
         assert all(900 < s < 1300 for s in sizes)
 
-    def test_serialized_level_uses_configured_serializer(self):
-        from repro.engine.serializer import CompressedSerializer
-
+    def test_serialized_level_stores_pickle_frame(self):
         bm = BlockManager("e0", memory_budget=1 << 20)
-        bm.serializer = CompressedSerializer(threshold=64)
         data = [np.zeros(512) for _ in range(4)]
         bm.put((7, 0), data, StorageLevel.MEMORY_SER)
-        # compressed frames shrink the accounted footprint well below raw
-        assert bm.memory_used < sum(a.nbytes for a in data)
+        # accounted footprint is the pickle frame plus the fixed overhead
+        frame = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
+        assert bm.memory_used == len(frame) + 64
         out = bm.get((7, 0))
         assert len(out) == 4 and all(np.array_equal(a, b) for a, b in zip(out, data))
+        out[0][0] = 1.0  # decoded arrays own writable memory
 
     def test_spill_roundtrip_with_serializer(self, tmp_path):
-        from repro.engine.serializer import NumpySerializer
-
         bm = BlockManager("e0", memory_budget=256, spill_dir=str(tmp_path))
-        bm.serializer = NumpySerializer()
         data = [np.arange(100, dtype=np.float64)]
         bm.put((3, 0), data, StorageLevel.MEMORY_AND_DISK)
         assert bm.was_spilled((3, 0))

@@ -495,6 +495,59 @@ class TestV7Adaptive:
         assert decision["new_partitions"] == 6
         assert read_inference(path) == []
 
+    def test_old_serializer_decisions_load_and_render(self, tmp_path, capsys):
+        """Logs written while the planner picked per-shuffle serializers
+        carry ``kind: "serializer"`` adaptive lines; they still load and
+        render under ``sparkscore history``."""
+        from repro.cli import main
+
+        path = tmp_path / "old-v7.jsonl"
+        serializer_line = json.dumps({
+            "event": "adaptive", "version": 7, "time": 18078.66,
+            "kind": "serializer", "shuffle_id": 0, "stage_id": 0, "job_id": 0,
+            "old_partitions": 4, "new_partitions": 4,
+            "detail": "pickle -> compressed",
+        })
+        path.write_text(
+            (FIXTURES / "eventlog_v7.jsonl").read_text() + serializer_line + "\n"
+        )
+        kinds = [d["kind"] for d in read_adaptive(str(path))]
+        assert kinds == ["split", "serializer"]
+        assert main(["history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "adaptive (v7 side channel): 2 plan decision(s)" in out
+        assert "[serializer] shuffle 0 stage 0 job 0: 4 -> 4" in out
+
+
+class TestCommittedFixtures:
+    #: sha256 of every committed event-log fixture: the readers must keep
+    #: loading these exact bytes, so they are never regenerated
+    DIGESTS = {
+        "eventlog_skew.jsonl":
+            "9c307ddfc796fe69e43de3ba02f4bd8265290586a28394a20547f86fecf7425a",
+        "eventlog_truncated.jsonl":
+            "12fbaeab438dd3b18c78fa7d37d75e5f8e3f6fc583669af61fb91703c42754ea",
+        "eventlog_v2.jsonl":
+            "71d7be96229371240a7d49b9066fc79608f8843d424f9c707038ddd3948f3454",
+        "eventlog_v4.jsonl":
+            "e0648af4af2cf640f540addec2ca9b40c3b8b56eb24d900ed0700a611d24609d",
+        "eventlog_v6.jsonl":
+            "07b8276c237908fa7d6fd2c0abbdd3efa893bea0da96ef0915a79231f874d553",
+        "eventlog_v7.jsonl":
+            "f99c72d9db6dde7717d147945018a834a2a88e106ebabb3f67876a7bf3388b0b",
+        "eventlog_v8.jsonl":
+            "e50dfe586f8e25ea9446b33a465ae77962472c19f0a692366cc4d973012e812b",
+    }
+
+    def test_fixtures_unchanged_byte_for_byte(self):
+        import hashlib
+
+        found = {p.name for p in FIXTURES.glob("eventlog_*.jsonl")}
+        assert found == set(self.DIGESTS)
+        for name, digest in self.DIGESTS.items():
+            data = (FIXTURES / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
 
 class TestV8Inference:
     def test_inference_lines_round_trip(self, tmp_path):

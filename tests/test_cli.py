@@ -71,6 +71,13 @@ class TestAnalyze:
               "--output", str(out_dist)])
         assert out_local.read_text() == out_dist.read_text()
 
+    def test_serializer_flag_refused(self, dataset_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", dataset_dir, "--engine", "distributed",
+                  "--serializer", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --serializer numpy" in capsys.readouterr().err
+
     def test_tsv_output_columns(self, dataset_dir, tmp_path):
         out = tmp_path / "r.tsv"
         main(["analyze", dataset_dir, "--iterations", "50", "--output", str(out)])
@@ -416,6 +423,33 @@ class TestPostmortem:
         bundle = json.loads(capsys.readouterr().out)
         assert bundle["kind"] == "sparkscore-postmortem"
         assert bundle["failing_task"]["partition"] == 2
+
+    def test_renders_old_bundle_with_serializer_picks(self, bundle_dir, tmp_path,
+                                                      capsys):
+        """Bundles written while the planner picked per-shuffle serializers
+        carry ``serializer_picks`` and ``serializer`` decisions."""
+        import json
+
+        (source,) = Path(bundle_dir).glob("*.json")
+        bundle = json.loads(source.read_text())
+        bundle["adaptive"] = {
+            "enabled": True, "serializer_enabled": True,
+            "speculation_enabled": False, "stages_rewritten": 0,
+            "serializer_picks": 1, "speculative_launched": 0,
+            "speculative_won": 0,
+            "decisions": [{
+                "kind": "serializer", "shuffle_id": 0, "stage_id": 0,
+                "job_id": 0, "old_partitions": 4, "new_partitions": 4,
+                "detail": "pickle -> compressed",
+            }],
+        }
+        old = tmp_path / "old-bundle.json"
+        old.write_text(json.dumps(bundle))
+        rc = main(["postmortem", str(old)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "adaptive execution: 0 plan rewrite(s)" in out
+        assert "[serializer] shuffle 0 stage 0: 4 -> 4 (pickle -> compressed)" in out
 
     def test_missing_bundle_errors(self, tmp_path, capsys):
         rc = main(["postmortem", str(tmp_path / "nope.json")])

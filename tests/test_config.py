@@ -74,6 +74,24 @@ class TestEngineConfig:
         assert config.get("spark.custom.flag") == "on"
         assert config.get("spark.missing", "default") == "default"
 
+    def test_removed_serializer_options_refused(self):
+        # pickle is the only data-plane format: the old options are unknown
+        # keyword arguments, and their Spark keys land in ``extra`` like
+        # any unrecognized key
+        from repro.engine.context import Context
+
+        with pytest.raises(TypeError):
+            EngineConfig(serializer="numpy")
+        with pytest.raises(TypeError):
+            Context(serializer="compressed")
+        config = EngineConfig()
+        config.set("spark.serializer", "compressed")
+        config.set("spark.adaptive.serializer", "false")
+        assert config.extra == {
+            "spark.serializer": "compressed",
+            "spark.adaptive.serializer": "false",
+        }
+
     def test_set_validates(self):
         with pytest.raises(ValueError):
             EngineConfig().set("spark.executor.cores", 0)
