@@ -27,6 +27,14 @@ static plan and under the adaptive planner.  The planner splits the hot
 bucket along map boundaries at the stage boundary, so the tail spreads
 across all slots; results must stay bit-identical.  CI gates on
 ``adaptive_wall <= 0.7 * static_wall``.
+
+``--paper-scale`` adds one paper-plausible point: Monte Carlo at 1000
+patients x 20k SNPs x 1000 replicates (batch 100) on serial and on the
+cluster (2 executors x 1 core), recorded under ``paper_scale`` with both
+walls, their ratio, ``cpu_count`` and whether the exceedance counts are
+identical.  It is off by default because it builds a 1000 x 20000
+genotype matrix, and it is recorded, not gated: the cluster is still
+slower than serial there.
 """
 
 from __future__ import annotations
@@ -174,6 +182,36 @@ def cold_warm_sweep(dataset, args, reference: np.ndarray) -> dict:
     }
 
 
+def paper_scale_point(args) -> dict:
+    """Serial vs cluster (2 x 1) MC at 1000 x 20k SNPs x 1000 replicates."""
+    shape = dict(patients=1000, snps=20000, snpsets=200, iterations=1000,
+                 batch_size=100, executors=2, cores=1)
+    dataset = generate_dataset(SyntheticConfig(
+        n_patients=shape["patients"], n_snps=shape["snps"],
+        n_snpsets=shape["snpsets"], seed=42,
+    ))
+    point = argparse.Namespace(**{
+        **vars(args), "executors": shape["executors"], "cores": shape["cores"],
+        "iterations": shape["iterations"], "batch_size": shape["batch_size"],
+    })
+    serial = run_backend(dataset, "serial", point)
+    cluster = run_backend(dataset, "cluster", point)
+    identical = bool(np.array_equal(serial["exceed_counts"], cluster["exceed_counts"]))
+    ratio = cluster["wall_seconds"] / serial["wall_seconds"]
+    print(f"{'paper':>10}: serial {serial['wall_seconds']:.2f}s, "
+          f"cluster {cluster['wall_seconds']:.2f}s (ratio {ratio:.2f}, "
+          f"counts {'identical' if identical else 'DIFFER'})")
+    return {
+        **shape,
+        "flavor": args.flavor,
+        "cpu_count": os.cpu_count(),
+        "serial_wall_seconds": serial["wall_seconds"],
+        "cluster_wall_seconds": cluster["wall_seconds"],
+        "cluster_over_serial": ratio,
+        "counts_identical": identical,
+    }
+
+
 def adaptive_sweep(args) -> dict:
     """Skewed-shuffle drill: static plan vs adaptive query execution.
 
@@ -256,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--adaptive-unit-ms", type=float, default=10.0,
                         help="per-record reduce-side cost in the AQE drill "
                         "(default: 10 ms)")
+    parser.add_argument("--paper-scale", action="store_true",
+                        help="also record serial vs cluster MC at 1000 x 20k SNPs "
+                        "x 1000 replicates")
     parser.add_argument("--output", default="BENCH_backends.json")
     args = parser.parse_args(argv)
 
@@ -300,6 +341,11 @@ def main(argv: list[str] | None = None) -> int:
         print()
         adaptive = adaptive_sweep(args)
 
+    paper_scale = None
+    if args.paper_scale:
+        print()
+        paper_scale = paper_scale_point(args)
+
     serial_wall = rows[0]["wall_seconds"]
     report = {
         "workload": {
@@ -323,6 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         ],
         "cluster_cold_warm": cold_warm,
         "adaptive_sweep": adaptive,
+        "paper_scale": paper_scale,
         "bit_identical_across_backends": True,
     }
     with open(args.output, "w") as fh:

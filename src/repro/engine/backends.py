@@ -204,7 +204,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
     Receives a pickled dict with the stage's task binary (lineage + closure,
     memoized per worker, fetched over the shared-memory transport when it
     shipped by ref), the partition/attempt to run, pre-fetched shuffle
-    frames, and pre-attached cache blocks (pickle frames); computes a
+    frames, and by-ref handles of the cache blocks it reads; computes a
     result dict with the result, any shuffle output written (as serialized
     :class:`~repro.engine.shuffle.ShuffleBlock` frames), newly cached
     blocks, accumulator updates, task metrics + resource telemetry,
@@ -252,9 +252,18 @@ def _run_pickled_task(payload: bytes) -> bytes:
         speculative=spec.get("speculative", False),
     )
     tc.prefetched_shuffle = spec["prefetched_shuffle"]
-    for block_id, frame in spec["cached_blocks"].items():
+    # cache blocks arrive as by-ref handles, decoded once per process
+    # through the broadcast memo.  A blob released since dispatch (its
+    # block was evicted on the driver) is a cache miss: recompute it
+    attached = set()
+    for block_id, handle in spec["cached_blocks"].items():
+        try:
+            data = handle.value
+        except (FileNotFoundError, KeyError):
+            continue
         level = binary.storage_levels.get(block_id[0], StorageLevel.MEMORY)
-        tc.block_manager.put(block_id, pickle.loads(frame), level)
+        tc.block_manager.put(block_id, data, level)
+        attached.add(block_id)
     deserialize_seconds = time.perf_counter() - task_start
     tc.metrics.deserialize_seconds = deserialize_seconds
 
@@ -303,7 +312,7 @@ def _run_pickled_task(payload: bytes) -> bytes:
         result = None  # MapStatus rebuilt by the driver
     new_blocks = {}
     for block_id in tc.block_manager.block_ids():
-        if block_id not in spec["cached_blocks"]:
+        if block_id not in attached:
             new_blocks[block_id] = tc.block_manager.get(block_id)
     out = {
         "result": result,

@@ -11,6 +11,11 @@ arrays exactly, walks plain-attribute objects (so block payloads like
 ``SnpBlock`` are sized from their arrays without serialization), and
 memoizes the pickled size per type for truly opaque objects so a large
 payload is never re-pickled on every cache insert.
+
+On the cluster backend the driver-side managers hold the cached blocks
+that worker processes read: :meth:`BlockManager.ship` publishes a block
+once through the transport, as a broadcast, and the blob lives exactly as
+long as the block does here.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from repro.engine.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.engine.broadcast import Broadcast
     from repro.engine.listener import ListenerBus
     from repro.engine.metrics import TaskMetrics
 
@@ -142,6 +148,17 @@ def estimate_size(obj: Any, _depth: int = 0) -> int:
     return _estimate_opaque(obj)
 
 
+def _release(shipped: "list[Broadcast | None]") -> None:
+    """Drop the transport blobs of blocks that left a manager.
+
+    A task already dispatched with one of these refs finds the blob gone
+    and recomputes the block from lineage, as on any cache miss.
+    """
+    for handle in shipped:
+        if handle is not None:
+            handle.unpersist()
+
+
 @dataclass
 class _Block:
     data: list
@@ -161,6 +178,8 @@ class BlockManager:
         self._memory_used = 0
         self._spill_dir = spill_dir
         self._spilled: dict[BlockId, str] = {}
+        #: blocks published for worker processes (see :meth:`ship`)
+        self._shipped: "dict[BlockId, Broadcast]" = {}
         self.evictions = 0
         self.spills = 0
         #: optional listener bus (set by the context); cache events go here
@@ -224,6 +243,8 @@ class BlockManager:
             )
             self._memory_used += size
             self._blocks.move_to_end(block_id)
+            shipped = [self._shipped.pop(victim_id, None) for victim_id, _, _ in events]
+        _release(shipped)
         self._post_cached(block_id, size, level, events)
         return materialized
 
@@ -254,6 +275,29 @@ class BlockManager:
                 return pickle.loads(fh.read())
         return None
 
+    def ship(self, block_id: BlockId, transport: Any) -> "Broadcast | None":
+        """The block as a by-ref handle for a worker process, or None.
+
+        Made on first use and kept with the block: it publishes the
+        block's pickle once, when the first task payload carrying it is
+        pickled, and every later payload carries only its ref.  The blob
+        is released when the block leaves this manager (removed, evicted,
+        or cleared with a lost executor), not only when the Context stops.
+        """
+        from repro.engine.broadcast import Broadcast
+
+        with self._lock:
+            handle = self._shipped.get(block_id)
+            if handle is not None:
+                if block_id in self._blocks:
+                    self._blocks.move_to_end(block_id)
+                return handle
+            data = self.get(block_id)
+            if data is None:
+                return None
+            handle = self._shipped[block_id] = Broadcast(block_id, data, transport)
+            return handle
+
     def was_spilled(self, block_id: BlockId) -> bool:
         with self._lock:
             return block_id in self._spilled
@@ -264,6 +308,8 @@ class BlockManager:
             if block is not None:
                 self._memory_used -= block.size
             path = self._spilled.pop(block_id, None)
+            shipped = self._shipped.pop(block_id, None)
+        _release([shipped])
         if path is not None and os.path.exists(path):
             os.unlink(path)
 
@@ -327,8 +373,14 @@ class BlockManagerMaster:
         with self._lock:
             return sorted(self._locations.get(block_id, ()))
 
-    def get_remote(self, block_id: BlockId, excluding: str) -> tuple[list, str] | None:
-        """Fetch a block from any executor other than ``excluding``."""
+    def get_remote(
+        self, block_id: BlockId, excluding: str, transport: Any = None
+    ) -> tuple[Any, str] | None:
+        """Fetch a block from any executor other than ``excluding``.
+
+        With ``transport`` the holder returns the block's by-ref handle
+        (see :meth:`BlockManager.ship`) instead of its data.
+        """
         with self._lock:
             holders = [e for e in sorted(self._locations.get(block_id, ())) if e != excluding]
             managers = {e: self._managers[e] for e in holders if e in self._managers}
@@ -336,7 +388,10 @@ class BlockManagerMaster:
             manager = managers.get(executor_id)
             if manager is None:
                 continue
-            data = manager.get(block_id)
+            if transport is not None:
+                data = manager.ship(block_id, transport)
+            else:
+                data = manager.get(block_id)
             if data is not None:
                 if self.bus is not None:
                     from repro.engine.listener import BlockFetchedRemote

@@ -8,16 +8,20 @@ lifecycle matches Spark's.
 
 With the cluster backend a context-attached :class:`~repro.engine.transport.
 Transport` upgrades broadcasts to out-of-band delivery: the first pickle of
-a broadcast publishes its compressed payload to shared memory (or the
-temp-file fallback) exactly once, and every task closure thereafter carries
-only a :class:`~repro.engine.transport.TransportRef`.  Workers attach the
-segment lazily on first ``.value`` access and memoize the decoded value for
-the life of the process -- the Torrent-broadcast idea reduced to one host.
+a broadcast publishes its raw pickle to shared memory (or the temp-file
+fallback) exactly once, and every task closure thereafter carries only a
+:class:`~repro.engine.transport.TransportRef`.  Payloads are not
+compressed: the large ones are numeric arrays, where zlib saves ~4% of the
+bytes and costs tens of milliseconds per 512 KB.  Workers attach the segment lazily
+on first ``.value`` access and memoize the decoded value for the life of
+the process -- the Torrent-broadcast idea reduced to one host.
 
-:class:`SourceBlock` rides the same path for the partitions of driver-resident
-source RDDs (``parallelize``, HDFS blocks): each slice is published once,
-uncompressed, and task binaries carry only its ref, so their size does not
-grow with the dataset.
+The same handle carries the other blocks a worker process reads but the
+driver holds: :class:`SourceBlock` for the partitions of driver-resident
+source RDDs (``parallelize``, HDFS blocks), and plain broadcasts for
+cached partitions (see :meth:`~repro.engine.blockmanager.BlockManager.ship`).
+Each is published once and tasks carry only its ref, so neither task
+binaries nor task payloads grow with the data.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ T = TypeVar("T")
 #: safe to share).  Keyed by (scheme, key) rather than broadcast id because
 #: persistent cluster workers outlive driver contexts, and every fresh
 #: context restarts broadcast ids at 0 -- id keys would collide across jobs
-#: while ref keys are content-addressed and never do.  LRU-capped like the
-#: task-binary cache: persistent executors would otherwise accumulate
-#: every broadcast value ever seen for the life of the fleet.
-_WORKER_VALUES: "OrderedDict[tuple[str, str], Any]" = OrderedDict()
+#: while ref keys are content-addressed and never do.  Values are stored
+#: with their blob size and LRU-capped by count *and* by bytes: persistent
+#: executors would otherwise pin every broadcast and cached block ever
+#: seen (multi-MB each) for the life of the fleet.
+_WORKER_VALUES: "OrderedDict[tuple[str, str], tuple[Any, int]]" = OrderedDict()
 _WORKER_VALUES_MAX = 64
+_WORKER_VALUES_MAX_BYTES = 256 << 20
 _WORKER_LOCK = threading.Lock()
 #: driver side: jobs on two threads may pickle the same broadcast at once
 _PUBLISH_LOCK = threading.Lock()
@@ -57,7 +63,7 @@ class Broadcast(Generic[T]):
         self._size_bytes: int | None = None
         self._transport = transport
         self._ref: Any = None  # TransportRef once published
-        self._blob: bytes | None = None  # compressed pickle, driver-side cache
+        self._blob: bytes | None = None  # pickle, driver-side cache
 
     @property
     def value(self) -> T:
@@ -81,7 +87,7 @@ class Broadcast(Generic[T]):
                     "Broadcast values served from the worker's warm memo",
                     labelnames=("executor",),
                 ).labels(executor=current_task_executor()).inc()
-                return _WORKER_VALUES[memo_key]
+                return _WORKER_VALUES[memo_key][0]
         from repro.engine.transport import worker_transport
 
         transport = worker_transport()
@@ -89,19 +95,25 @@ class Broadcast(Generic[T]):
             raise RuntimeError(
                 f"{self!r} shipped by ref but no transport attached"
             )
-        value = self._decode(transport.get(self._ref))
+        blob = transport.get(self._ref)
+        value = pickle.loads(blob)
         with _WORKER_LOCK:
-            _WORKER_VALUES[memo_key] = value
+            _WORKER_VALUES[memo_key] = (value, len(blob))
             _WORKER_VALUES.move_to_end(memo_key)
-            while len(_WORKER_VALUES) > _WORKER_VALUES_MAX:
-                _WORKER_VALUES.popitem(last=False)
+            held = sum(size for _, size in _WORKER_VALUES.values())
+            # the newest value stays even when it alone exceeds the bound
+            while len(_WORKER_VALUES) > 1 and (
+                len(_WORKER_VALUES) > _WORKER_VALUES_MAX
+                or held > _WORKER_VALUES_MAX_BYTES
+            ):
+                held -= _WORKER_VALUES.popitem(last=False)[1][1]
         return value
 
     def _publish(self) -> bytes | None:
-        """Encode the payload and, given a transport, publish it out-of-band.
+        """Pickle the payload and, given a transport, publish it out-of-band.
 
-        Returns the encoded blob when the broadcast stays inline (no
-        transport), or ``None`` once a transport ref exists.  Idempotent: the content-hash
+        Returns the pickle when the broadcast stays inline (no transport),
+        or ``None`` once a transport ref exists.  Idempotent: the content-hash
         dedup in :meth:`Transport.put` plus driver-side memoization mean
         repeated pickles of the same broadcast never re-publish.
         """
@@ -109,32 +121,17 @@ class Broadcast(Generic[T]):
             if self._ref is not None:
                 return None
             if self._blob is None:
-                raw = self._dumps(self._value)
-                self._size_bytes = len(raw)
-                self._blob = self._encode(raw)
+                self._blob = self._dumps(self._value)
+                self._size_bytes = len(self._blob)
             if self._transport is not None:
                 self._ref = self._transport.put(self._blob, dedup=True)
                 self._blob = None  # the transport holds the bytes now
                 return None
             return self._blob
 
-    # -- encoding: zlib'd pickle; SourceBlock overrides all three ------------
-
     @staticmethod
     def _dumps(value: Any) -> bytes:
         return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def _encode(raw: bytes) -> bytes:
-        from repro.engine.serializer import compress_blob
-
-        return compress_blob(raw)
-
-    @staticmethod
-    def _decode(blob: bytes) -> Any:
-        from repro.engine.serializer import decompress_blob
-
-        return pickle.loads(decompress_blob(blob))
 
     def __getstate__(self) -> dict:
         if self._destroyed:
@@ -152,13 +149,13 @@ class Broadcast(Generic[T]):
         self._ref = state["ref"]
         self._blob = None
         if state["blob"] is not None:
-            self._value = self._decode(state["blob"])
+            self._value = pickle.loads(state["blob"])
         else:
             self._value = None  # lazy-loaded from the transport on .value
 
     @property
     def size_bytes(self) -> int:
-        """Pickled (uncompressed) size of the payload (lazy, cached)."""
+        """Pickled size of the payload (lazy, cached)."""
         if self._size_bytes is None:
             if self._destroyed:
                 raise BroadcastDestroyedError(f"broadcast {self.id} was destroyed")
@@ -188,10 +185,8 @@ class SourceBlock(Broadcast):
     """One partition of a driver-resident source RDD, shipped once.
 
     A broadcast every task of the stage carries, but only the task for its
-    partition reads.  The value pickles with the closure pickler (source
-    data may hold lambdas, as it did inside the task binary) and is
-    published *uncompressed*: the blob is copied once into the transport,
-    where zlib would cost more than the copy it saves.
+    partition reads.  The value pickles with the closure pickler: source
+    data may hold lambdas, as it did inside the task binary.
     """
 
     @staticmethod
@@ -199,14 +194,6 @@ class SourceBlock(Broadcast):
         from repro.engine.closure import dumps
 
         return dumps(value)
-
-    @staticmethod
-    def _encode(raw: bytes) -> bytes:
-        return raw
-
-    @staticmethod
-    def _decode(blob: bytes) -> Any:
-        return pickle.loads(blob)
 
     def __repr__(self) -> str:
         return f"SourceBlock(split={self.id})"

@@ -50,6 +50,7 @@ import queue
 import secrets
 import selectors
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -69,6 +70,92 @@ if TYPE_CHECKING:  # pragma: no cover
 _REGISTER_TIMEOUT = 60.0
 
 
+# -- native thread pools ------------------------------------------------------
+#
+# A worker process is one task slot, so a BLAS pool sized to the machine
+# oversubscribes it: each slot's OpenBLAS would run cpu_count threads on
+# the same CPUs as every other slot's (PySpark caps ``OMP_NUM_THREADS`` at
+# the executor's cores for the same reason, SPARK-28843).  The driver
+# resolves every loaded OpenBLAS's thread-count controls before it forks
+# the fleet; each worker caps them at its first task, off the registration
+# path.  An explicit ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` wins.
+
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+#: :func:`openblas_pools` as resolved by the driver before its last fork
+#: (``None``: never resolved in this process)
+_BLAS_POOLS: "list[tuple[Any, Any, Any]] | None" = None
+#: ``len(sys.modules)`` when ``_BLAS_POOLS`` was resolved: native libraries
+#: arrive with imports, and reading ``/proc/self/maps`` costs ~2 ms, so a
+#: driver re-resolves only after it has imported something new
+_BLAS_RESOLVED_AT = -1
+
+
+def openblas_pools() -> "list[tuple[Any, Any, Any]]":
+    """``(set_num_threads, get_num_threads, cpu_number)`` per OpenBLAS here.
+
+    Found through ``/proc/self/maps``: numpy and scipy each bundle their
+    own OpenBLAS, under prefixed and ILP64-suffixed symbol names.
+    ``cpu_number`` is the library's ``blas_cpu_number`` (the count
+    ``get_num_threads`` reports) where it is exported, else ``None``.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh
+                if "openblas" in os.path.basename(line.split()[-1]).lower()
+            })
+    except OSError:
+        return []
+    names = [
+        (f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+        for prefix in ("openblas", "scipy_openblas") for suffix in ("", "64_")
+    ]
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in names:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                try:
+                    cpu_number = ctypes.c_int.in_dll(lib, "blas_cpu_number")
+                except ValueError:
+                    cpu_number = None
+                pools.append((getattr(lib, set_name), getattr(lib, get_name), cpu_number))
+                break
+    return pools
+
+
+def openblas_threads() -> list[int]:
+    """Thread count of each OpenBLAS loaded in this process."""
+    return [getter() for _, getter, _ in openblas_pools()]
+
+
+def _pin_blas_threads() -> None:
+    """Cap this worker's BLAS pools at one thread (its one task slot).
+
+    A fork leaves OpenBLAS's pool shut down, and ``set_num_threads``
+    starts it again before shrinking it: its threads then spin ~0.13 s
+    each before they sleep, ~0.27 s of CPU per worker for nothing.
+    Writing the count the library reads avoids that; ``set_num_threads``
+    is the fallback where it is not exported.
+    """
+    if any(var in os.environ for var in _BLAS_ENV):
+        return
+    # an OpenBLAS first loaded after this point reads the variable
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    for setter, _, cpu_number in (
+        _BLAS_POOLS if _BLAS_POOLS is not None else openblas_pools()
+    ):
+        if cpu_number is not None:
+            cpu_number.value = 1
+        else:
+            setter(1)
+
+
 # -- worker process -----------------------------------------------------------
 
 
@@ -81,7 +168,8 @@ def _cluster_worker_main(
     Single-threaded on purpose: tasks run serially per slot (parallelism
     comes from the fleet), so the worker-side registry delta never
     interleaves two tasks' increments, and DRAIN can exit at any frame
-    boundary knowing nothing is in flight.
+    boundary knowing nothing is in flight.  Native BLAS pools are capped
+    to match at the first task (see :func:`_pin_blas_threads`).
     """
     from repro.engine.backends import _run_pickled_task, install_worker_heartbeats
 
@@ -114,12 +202,16 @@ def _cluster_worker_main(
                 {"slot": slot, "executor_id": executor_id, "pid": os.getpid()},
                 protocol=pickle.HIGHEST_PROTOCOL,
             ))
+        pinned = False
         while True:
             received = frames.recv_frame(conn)
             if received is None:
                 return
             ftype, payload = received
             if ftype == frames.TASK:
+                if not pinned:
+                    _pin_blas_threads()
+                    pinned = True
                 token, _eid, spec = frames.unpack_task(payload)
                 try:
                     result = _run_pickled_task(spec)
@@ -261,6 +353,9 @@ class ClusterManager:
     def _spawn_workers(self) -> None:
         import multiprocessing
 
+        global _BLAS_POOLS, _BLAS_RESOLVED_AT
+        if _BLAS_RESOLVED_AT != len(sys.modules):  # inherited by the forked workers
+            _BLAS_POOLS, _BLAS_RESOLVED_AT = openblas_pools(), len(sys.modules)
         host, _, port = self.address.rpartition(":")
         for handle in self.workers:
             proc = multiprocessing.Process(

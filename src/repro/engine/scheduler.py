@@ -737,28 +737,26 @@ class TaskScheduler:
                 injector.on_task_launch(TaskContext(
                     stage.id, task.partition, attempt, executor.executor_id
                 ))
-            # make the task self-contained: pre-fetch shuffle input + cache
-            # blocks.  Shuffle input ships as the map outputs' pickle frames
-            # (no driver-side decode + re-pickle); cache blocks ship as
-            # pickle frames
+            # make the task self-contained: pre-fetch shuffle input, attach
+            # cache blocks.  Shuffle input ships as the map outputs' pickle
+            # frames (no driver-side decode + re-pickle); a cache block
+            # ships as its holder's by-ref handle, published once per block
             prefetched: dict[tuple[int, int], FrameBatch] = {}
             for shuffle_id, reduce_part in stage_shuffle_inputs(task.rdd, task.partition):
                 blocks = self.ctx.shuffle_manager.fetch_blocks(shuffle_id, reduce_part)
                 prefetched[(shuffle_id, reduce_part)] = FrameBatch(
                     [b.payload for b in blocks]
                 )
-            cached_blocks: dict[tuple[int, int], bytes] = {}
+            cached_blocks: dict[tuple[int, int], Any] = {}
             for block_id in stage_cached_rdd_blocks(task.rdd, task.partition):
-                data = executor.block_manager.get(block_id)
-                if data is None:
+                handle = executor.block_manager.ship(block_id, transport)
+                if handle is None:
                     remote = self.ctx.block_master.get_remote(
-                        block_id, excluding=executor.executor_id
+                        block_id, excluding=executor.executor_id, transport=transport
                     )
-                    data = remote[0] if remote is not None else None
-                if data is not None:
-                    cached_blocks[block_id] = pickle.dumps(
-                        data, protocol=pickle.HIGHEST_PROTOCOL
-                    )
+                    handle = remote[0] if remote is not None else None
+                if handle is not None:
+                    cached_blocks[block_id] = handle
             payload = pickle.dumps(
                 {
                     "binary_id": tb.binary_id,

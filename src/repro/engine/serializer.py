@@ -1,13 +1,15 @@
 """Data-plane framing helpers.
 
 Everything the engine moves between tasks -- shuffle buckets, cached-block
-spills and shipped cache blocks, task results -- is a ``pickle`` frame at
-the highest protocol; callers use :mod:`pickle` directly.  This module
-holds the two pieces of framing around those frames:
+spills and shipped cache blocks, broadcasts, task results -- is a
+``pickle`` frame at the highest protocol; callers use :mod:`pickle`
+directly.  This module holds the two pieces of framing around those
+frames:
 
 - :func:`compress_blob` / :func:`decompress_blob` -- flag-prefixed zlib
-  framing for task binaries and broadcast payloads, which are already
-  bytes when the transport sees them;
+  framing for task binaries, which are already bytes when the transport
+  sees them (closure pickles compress well; broadcasts are mostly
+  numeric arrays and ship raw);
 - :class:`FrameBatch` -- a picklable batch of shuffle frames, decoded on
   iteration, so the scheduler can pre-fetch a reduce task's input without
   a driver-side decode + re-pickle.

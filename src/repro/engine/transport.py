@@ -26,10 +26,11 @@ Key properties:
   the driver as soon as the result is merged.
 - **Owners**: a :class:`TransportLease` is one Context's view of a shared
   transport.  Every put through it is *held* for that owner, and
-  ``release()`` drops all its holds at once (``Context.stop``).  A
-  content-dedup'd blob two Contexts published is held twice and lives
-  until both have let go.  Local segments with no holder left are
-  unlinked; the socket store keeps them as evictable cache instead.
+  ``release()`` drops all its holds at once (``Context.stop``).  Holds
+  are counted: a content-dedup'd blob published twice -- by two
+  Contexts, or by two handles of one Context -- lives until both have
+  let go.  Local segments with no holder left are unlinked; the socket
+  store keeps them as evictable cache instead.
 
 A :class:`Transport` is addressed by a picklable :meth:`spec`; worker
 processes rebuild a handle lazily from the spec riding in the task payload
@@ -50,7 +51,7 @@ import secrets
 import socket
 import tempfile
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -76,6 +77,13 @@ class TransportRef:
     key: str  # segment name or absolute file path
     size: int
     content_hash: str | None = None
+
+
+def _drop_hold(holders: Counter, owner: str) -> None:
+    """Drop one of ``owner``'s holds (a dedup hit adds one per put)."""
+    holders[owner] -= 1
+    if holders[owner] <= 0:
+        del holders[owner]
 
 
 def _sha256(blob: bytes) -> str:
@@ -184,8 +192,8 @@ class Transport:
         self._by_hash: dict[str, TransportRef] = {}
         #: key -> ref of every payload this handle created (unlinked on close)
         self._created: dict[str, TransportRef] = {}
-        #: key -> owners holding the payload (see :meth:`release`)
-        self._holders: dict[str, set[str]] = {}
+        #: key -> owner -> holds on the payload (see :meth:`release`)
+        self._holders: dict[str, Counter] = {}
         self.bytes_published = 0
         self.dedup_hits = 0
         #: bytes a dedup hit kept off the wire/segment store -- the fleet
@@ -247,7 +255,7 @@ class Transport:
 
     def _hold_locked(self, key: str, owner: str | None) -> None:
         if owner is not None:
-            self._holders.setdefault(key, set()).add(owner)
+            self._holders.setdefault(key, Counter())[owner] += 1
 
     def _write(self, blob: bytes, content_hash: str | None) -> TransportRef:
         # dedup'd payloads get *content-addressed* names: a republication of
@@ -315,8 +323,8 @@ class Transport:
     def delete(self, ref: TransportRef, owner: str | None = None) -> None:
         """Remove one payload (idempotent).
 
-        With ``owner`` only that owner's hold goes; the payload survives
-        while another owner still holds it.
+        With ``owner`` one of that owner's holds goes; the payload
+        survives while any hold remains.
         """
         # under the create lock, so a concurrent dedup'd put can neither
         # hand out this ref mid-unlink nor re-create the name under us
@@ -324,7 +332,7 @@ class Transport:
             with self._lock:
                 holders = self._holders.get(ref.key)
                 if owner is not None and holders is not None:
-                    holders.discard(owner)
+                    _drop_hold(holders, owner)
                     if holders:
                         return
                 self._forget_locked(ref)
@@ -337,7 +345,7 @@ class Transport:
             with self._lock:
                 for key, holders in list(self._holders.items()):
                     if owner in holders:
-                        holders.discard(owner)
+                        del holders[owner]
                         if not holders:
                             orphans.append(self._created[key])
                             self._forget_locked(orphans[-1])
@@ -438,8 +446,8 @@ class SocketTransport:
         self._store_bytes = 0
         #: content hash -> ref (server side dedup index)
         self._by_hash: dict[str, TransportRef] = {}
-        #: key -> owners holding the blob (server side; exempt from eviction)
-        self._holders: dict[str, set[str]] = {}
+        #: key -> owner -> holds on the blob (server side; exempt from eviction)
+        self._holders: dict[str, Counter] = {}
         self.bytes_published = 0
         self.dedup_hits = 0
         #: bytes dedup offers kept off the wire (fleet "warm bytes saved")
@@ -581,7 +589,7 @@ class SocketTransport:
 
     def _hold_locked(self, key: str, owner: str | None) -> None:
         if owner is not None:
-            self._holders.setdefault(key, set()).add(owner)
+            self._holders.setdefault(key, Counter())[owner] += 1
 
     def _evict_locked(self, keep: str) -> None:
         """Drop oldest-touched dedup'd blobs past the byte budget.
@@ -610,9 +618,9 @@ class SocketTransport:
         with self._lock:
             holders = self._holders.get(key)
             if owner is not None and holders is not None:
-                holders.discard(owner)
+                _drop_hold(holders, owner)
                 if holders:
-                    return  # another owner still holds it
+                    return  # another hold remains
             self._holders.pop(key, None)
             blob = self._store.pop(key, None)
             if blob is not None:
@@ -702,7 +710,7 @@ class SocketTransport:
         return payload
 
     def delete(self, ref: TransportRef, owner: str | None = None) -> None:
-        """Remove one blob; with ``owner`` only that owner's hold goes."""
+        """Remove one blob; with ``owner`` only one of that owner's holds goes."""
         if self._serving:
             self._delete_key(ref.key, owner)
             return
@@ -717,7 +725,7 @@ class SocketTransport:
             return
         with self._lock:
             for key, holders in list(self._holders.items()):
-                holders.discard(owner)
+                holders.pop(owner, None)
                 if not holders:
                     del self._holders[key]
             self._evict_locked(keep="")

@@ -3,6 +3,7 @@
 import operator
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.engine.accumulator import Accumulator, AccumulatorBuffer
@@ -55,6 +56,28 @@ class TestBroadcast:
         finally:
             bc._WORKER_VALUES.clear()
             t.close()
+
+    def test_numeric_broadcast_publishes_its_raw_pickle(self, tmp_path):
+        # broadcasts are not compressed: a 512 KB float64 block (the MC
+        # multipliers) publishes exactly its pickle, and decodes back
+        from repro.engine import transport as tp
+
+        values = np.random.default_rng(0).standard_normal(65536)
+        t = tp.Transport("file", str(tmp_path))
+        try:
+            b = Broadcast(0, values, transport=t)
+            shipped = pickle.dumps(b)
+            assert len(shipped) < 1024  # only the ref rides in the closure
+            raw = pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
+            assert t.bytes_published == len(raw) == b.size_bytes
+            assert t.get(b._ref) == raw
+        finally:
+            t.close()
+
+    def test_inline_broadcast_roundtrips_without_transport(self):
+        values = np.arange(1000, dtype=np.float64)
+        clone = pickle.loads(pickle.dumps(Broadcast(3, values)))
+        assert np.array_equal(clone.value, values)
 
 
 class TestAccumulator:

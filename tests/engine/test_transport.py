@@ -315,6 +315,32 @@ class TestOwnerHolds:
         with pytest.raises((FileNotFoundError, OSError)):
             transport.get(ref)
 
+    def test_one_owner_publishing_twice_holds_twice(self, transport):
+        # two handles of one Context (say a cached block and a source block
+        # with identical pickles) dedup onto one blob: dropping one hold
+        # must not unlink it under the other
+        lease = TransportLease(transport)
+        blob = b"twice" * 1000
+        ref = lease.put(blob, dedup=True)
+        assert lease.put(blob, dedup=True) == ref
+        lease.delete(ref)
+        assert transport.get(ref) == blob
+        lease.delete(ref)
+        with pytest.raises((FileNotFoundError, OSError)):
+            transport.get(ref)
+
+    def test_socket_one_owner_publishing_twice_holds_twice(self, socket_pair):
+        server, client = socket_pair
+        lease = TransportLease(client)
+        blob = b"twice" * 1000
+        ref = lease.put(blob, dedup=True)
+        assert lease.put(blob, dedup=True) == ref
+        lease.delete(ref)
+        assert server.get(ref) == blob
+        lease.delete(ref)
+        with pytest.raises(KeyError):
+            server.get(ref)
+
     def test_socket_release_leaves_evictable_cache(self, socket_pair):
         server, client = socket_pair
         server.store_budget = 3000
